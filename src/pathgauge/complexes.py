@@ -9,9 +9,13 @@ the tree (chords) generate every based loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import EndpointMismatch, NotConnected, ParseError, UnknownEdge
+from .errors import EndpointMismatch, NonEquivariantSpec, NotConnected, ParseError, UnknownEdge
 from .words import EdgeStep, PathWord, concat, empty_word, parse_step, reduce_word, reverse_word
+
+# Characters that would make an edge id ambiguous inside a word literal.
+_LITERAL_SYNTAX = (",", "~", "@")
 
 
 @dataclass(frozen=True)
@@ -31,13 +35,18 @@ class BaseComplex:
     _by_id: dict[str, Edge] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
         vset = set(self.vertices)
+        if len(vset) != len(self.vertices):
+            dup = next(v for v in sorted(vset) if self.vertices.count(v) > 1)
+            raise ParseError(f"duplicate vertex id {dup!r}")
+        object.__setattr__(self, "vertices", tuple(sorted(vset)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
         by_id: dict[str, Edge] = {}
         for e in self.edges:
             if e.id in by_id:
                 raise ParseError(f"duplicate edge id {e.id!r}")
+            if e.id != e.id.strip() or any(c in e.id for c in _LITERAL_SYNTAX):
+                raise ParseError(f"edge id {e.id!r} has surrounding spaces or one of , ~ @")
             if e.src not in vset:
                 raise ParseError(f"edge {e.id!r} has unknown source vertex {e.src!r}")
             if e.dst not in vset:
@@ -177,17 +186,20 @@ def tree_path(tree: SpanningTree, vertex: str) -> PathWord:
     cx = tree.complex
     if vertex not in set(cx.vertices):
         raise ParseError(f"unknown vertex {vertex!r}")
-    down: list[EdgeStep] = []
-    v = vertex
-    while v != cx.basepoint:
-        step = tree.parent[v]
-        down.append(step)
-        v = cx.step_head(step)
-    steps = tuple(s.flipped() for s in reversed(down))
-    verts = [cx.basepoint]
-    for s in steps:
-        verts.append(cx.step_head(s))
-    return PathWord(steps, tuple(verts))
+    return _parent_chain_word(cx, tree.parent, cx.basepoint, vertex)
+
+
+def _parent_chain_word(
+    cx: BaseComplex, parent: dict[str, EdgeStep], origin: str, vertex: str
+) -> PathWord:
+    """Word from `origin` to `vertex`, walking `parent` steps back toward origin."""
+    steps: list[EdgeStep] = []
+    verts = [vertex]
+    while verts[-1] != origin:
+        step = parent[verts[-1]]
+        steps.append(step.flipped())
+        verts.append(cx.step_head(step))
+    return PathWord(tuple(reversed(steps)), tuple(reversed(verts)))
 
 
 def chord_loops(cx: BaseComplex, tree: SpanningTree) -> dict[str, PathWord]:
@@ -236,20 +248,7 @@ def radial_paths(cx: BaseComplex, origin: str) -> dict[str, PathWord]:
             next_frontier.append(w)
         frontier = next_frontier
 
-    paths: dict[str, PathWord] = {}
-    for v in cx.vertices:
-        down: list[EdgeStep] = []
-        u = v
-        while u != origin:
-            step = parent[u]
-            down.append(step)
-            u = cx.step_head(step)
-        steps = tuple(s.flipped() for s in reversed(down))
-        verts = [origin]
-        for s in steps:
-            verts.append(cx.step_head(s))
-        paths[v] = PathWord(steps, tuple(verts))
-    return paths
+    return {v: _parent_chain_word(cx, parent, origin, v) for v in cx.vertices}
 
 
 def factor_loop(tree: SpanningTree, loop: PathWord) -> list[tuple[str, int]]:
@@ -263,3 +262,86 @@ def factor_loop(tree: SpanningTree, loop: PathWord) -> list[tuple[str, int]]:
         for s in loop.steps
         if s.edge not in tree.tree_edges
     ]
+
+
+# Word enumerators
+
+
+def enumerate_words(cx: BaseComplex, max_len: int, starts=None) -> Iterator[PathWord]:
+    """Every incidence-valid word of length at most max_len, shortest first."""
+    if starts is None:
+        starts = cx.vertices
+    layer = [empty_word(v) for v in starts]
+    for w in layer:
+        yield w
+    for _ in range(max_len):
+        nxt = []
+        for w in layer:
+            for step in cx.out_steps(w.dst):
+                grown = PathWord(w.steps + (step,), w.vertices + (cx.step_head(step),))
+                nxt.append(grown)
+                yield grown
+        layer = nxt
+
+
+def reduced_words_from(cx: BaseComplex, start: str, max_len: int) -> list[PathWord]:
+    """Every reduced word out of `start` with length at most max_len."""
+    out = [empty_word(start)]
+    layer = [empty_word(start)]
+    for _ in range(max_len):
+        nxt = []
+        for w in layer:
+            for step in cx.out_steps(w.dst):
+                if w.steps and w.steps[-1].cancels(step):
+                    continue
+                grown = PathWord(w.steps + (step,), w.vertices + (cx.step_head(step),))
+                nxt.append(grown)
+                out.append(grown)
+        layer = nxt
+    return out
+
+
+def enumerate_reduced_loops(cx: BaseComplex, max_len: int) -> list[PathWord]:
+    """Every reduced based loop of length at most max_len (the empty one first)."""
+    return [
+        w for w in reduced_words_from(cx, cx.basepoint, max_len) if w.dst == cx.basepoint
+    ]
+
+
+# Graph maps.  A graph map is any object with a `vertex_map` and an
+# `edge_map` (a bundle map or a holonomy morphism); it acts on words stepwise.
+
+
+def identity_graph_map(cx: BaseComplex) -> tuple[dict[str, str], dict[str, str]]:
+    """Vertex and edge maps of the identity on `cx`."""
+    return {v: v for v in cx.vertices}, {e.id: e.id for e in cx.edges}
+
+
+def compose_graph_maps(second, first) -> tuple[dict[str, str], dict[str, str]]:
+    """Vertex and edge maps of `second` after `first`."""
+    return (
+        {v: second.vertex_map[w] for v, w in first.vertex_map.items()},
+        {e: second.edge_map[d] for e, d in first.edge_map.items()},
+    )
+
+
+def map_word(f, dst: BaseComplex, word: PathWord) -> PathWord:
+    """Image of a word under a graph map, checked for incidence in `dst`."""
+    steps = tuple(EdgeStep(f.edge_map[s.edge], s.forward) for s in word.steps)
+    return dst.word(steps, at=f.vertex_map[word.src])
+
+
+def check_graph_map(f, src: BaseComplex, dst: BaseComplex) -> None:
+    """Raise NonEquivariantSpec unless f is a pointed, incidence-preserving map."""
+    dst_vertices = set(dst.vertices)
+    for v in src.vertices:
+        if f.vertex_map.get(v) not in dst_vertices:
+            raise NonEquivariantSpec(f"vertex {v!r} has no valid image")
+    for e in src.edges:
+        if e.id not in f.edge_map or not dst.has_edge(f.edge_map[e.id]):
+            raise NonEquivariantSpec(f"edge {e.id!r} has no valid image (edges must map to edges)")
+        image = dst.edge(f.edge_map[e.id])
+        if image.src != f.vertex_map[e.src] or image.dst != f.vertex_map[e.dst]:
+            raise NonEquivariantSpec(f"edge {e.id!r} image breaks incidence")
+    if f.vertex_map[src.basepoint] != dst.basepoint:
+        raise NonEquivariantSpec("map does not preserve the basepoint")

@@ -51,7 +51,10 @@ def parse_complex(text: str) -> BaseComplex:
             if key not in item or not isinstance(item[key], str):
                 raise ParseError(f"complex: edge entry {item!r} needs string field {key!r}")
         edges.append(Edge(item["id"], item["src"], item["dst"]))
-    return BaseComplex(tuple(str(v) for v in vertices), tuple(edges), basepoint)
+    for v in vertices:
+        if not isinstance(v, str):
+            raise ParseError(f"complex: vertex id {v!r} must be a string")
+    return BaseComplex(tuple(vertices), tuple(edges), basepoint)
 
 
 def dump_complex(cx: BaseComplex) -> str:

@@ -13,10 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import BaseComplex, SpanningTree, build_tree, chord_loops
+from .complexes import (
+    BaseComplex,
+    SpanningTree,
+    build_tree,
+    check_graph_map,
+    chord_loops,
+    compose_graph_maps,
+    identity_graph_map,
+    map_word,
+    tree_path,
+)
 from .errors import BaseMismatch, DomainMismatch, IndexOutOfRange, NonEquivariantSpec, ParseError, UnknownEdge
 from .groups import GroupCtx, GroupElement, subgroup_closure
-from .words import EdgeStep, PathWord, concat, word_along_walk
+from .words import PathWord, concat, word_along_walk
 
 Walk = tuple[int, ...] | list[int]
 
@@ -80,6 +90,11 @@ def _position_transports(field: GaugeField, word: PathWord) -> tuple[GroupElemen
     for step in word.steps:
         out.append(ctx.mul(field.step_transport(step), out[-1]))
     return tuple(out)
+
+
+def tree_transports(field: GaugeField, tree: SpanningTree) -> dict[str, GroupElement]:
+    """T(v): transport along the tree path from the basepoint to each vertex."""
+    return {v: transport(field, tree_path(tree, v)) for v in field.complex.vertices}
 
 
 def position_transports(field: GaugeField, word: PathWord) -> list[GroupElement]:
@@ -203,18 +218,12 @@ class BundleMap:
 
 
 def identity_bundle_map(cx: BaseComplex, ctx: GroupCtx) -> BundleMap:
-    e = ctx.identity()
-    return BundleMap(
-        {v: v for v in cx.vertices},
-        {edge.id: edge.id for edge in cx.edges},
-        {v: e for v in cx.vertices},
-    )
+    return BundleMap(*identity_graph_map(cx), {v: ctx.identity() for v in cx.vertices})
 
 
 def compose_bundle_maps(ctx: GroupCtx, second: BundleMap, first: BundleMap) -> BundleMap:
     return BundleMap(
-        {v: second.vertex_map[first.vertex_map[v]] for v in first.vertex_map},
-        {e: second.edge_map[first.edge_map[e]] for e in first.edge_map},
+        *compose_graph_maps(second, first),
         {
             v: ctx.mul(second.fiber_adjust[first.vertex_map[v]], first.fiber_adjust[v])
             for v in first.vertex_map
@@ -229,8 +238,7 @@ def bundle_morphism_apply(F: BundleMap, ctx: GroupCtx, xi: BundlePoint) -> Bundl
 
 
 def bundle_morphism_on_epath(F: BundleMap, ctx: GroupCtx, dst_cx: BaseComplex, path: EPath) -> EPath:
-    steps = tuple(EdgeStep(F.edge_map[s.edge], s.forward) for s in path.word.steps)
-    word = dst_cx.word(steps, at=F.vertex_map[path.word.src])
+    word = map_word(F, dst_cx, path.word)
     fibers = tuple(
         ctx.mul(F.fiber_adjust[path.word.vertex_at(i)], f) for i, f in enumerate(path.fibers)
     )
@@ -248,29 +256,15 @@ def check_bundle_morphism(F: BundleMap, src: GaugeField, dst: GaugeField) -> boo
     if src.ctx != dst.ctx:
         raise NonEquivariantSpec("source and target contexts differ")
     ctx = src.ctx
-    cx, cx2 = src.complex, dst.complex
-    for v in cx.vertices:
-        if v not in F.vertex_map:
-            raise NonEquivariantSpec(f"no image for vertex {v!r}")
-        if F.vertex_map[v] not in set(cx2.vertices):
-            raise NonEquivariantSpec(f"vertex {v!r} maps outside the target complex")
+    check_graph_map(F, src.complex, dst.complex)
+    for v in src.complex.vertices:
         if v not in F.fiber_adjust:
             raise NonEquivariantSpec(f"no fiber adjuster at vertex {v!r}")
         try:
             ctx.check(F.fiber_adjust[v])
         except DomainMismatch as exc:
             raise NonEquivariantSpec(f"vertex {v!r}: {exc}") from exc
-    for e in cx.edges:
-        if e.id not in F.edge_map:
-            raise NonEquivariantSpec(f"no image for edge {e.id!r}")
-        if not cx2.has_edge(F.edge_map[e.id]):
-            raise NonEquivariantSpec(f"edge {e.id!r} maps outside the target complex")
-        image = cx2.edge(F.edge_map[e.id])
-        if image.src != F.vertex_map[e.src] or image.dst != F.vertex_map[e.dst]:
-            raise NonEquivariantSpec(f"edge {e.id!r} image breaks incidence")
-    if F.vertex_map[cx.basepoint] != cx2.basepoint:
-        raise NonEquivariantSpec("base map does not preserve the basepoint")
-    for e in cx.edges:
+    for e in src.complex.edges:
         lhs = ctx.mul(F.fiber_adjust[e.dst], src.labels[e.id])
         rhs = ctx.mul(dst.labels[F.edge_map[e.id]], F.fiber_adjust[e.src])
         if lhs != rhs:

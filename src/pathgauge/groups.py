@@ -39,9 +39,6 @@ class GroupCtx:
     def inv(self, a: GroupElement) -> GroupElement:
         raise NotImplementedError
 
-    def eq(self, a: GroupElement, b: GroupElement) -> bool:
-        return self.check(a) == self.check(b)
-
     def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g h g^-1."""
         return self.mul(self.mul(g, h), self.inv(g))
@@ -78,7 +75,7 @@ class CyclicCtx(GroupCtx):
             raise ParseError(f"cyclic order must be >= 1, got {self.order}")
 
     def check(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if type(a) is not int or not 0 <= a < self.order:
             raise DomainMismatch(f"{a!r} is not a residue mod {self.order}")
         return a
 
@@ -105,9 +102,13 @@ class CyclicCtx(GroupCtx):
         return str(self.check(a))
 
     def from_literal(self, value):
+        # int() would truncate floats and accept bools, so only ints and
+        # integer strings get through.
+        if type(value) not in (int, str):
+            raise ParseError(f"bad cyclic element literal {value!r}")
         try:
             return self.check(int(value))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad cyclic element literal {value!r}") from exc
 
     def spec(self):
@@ -182,11 +183,11 @@ class PermutationCtx(GroupCtx):
                 value = json.loads(value)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad permutation literal {value!r}") from exc
-        if not isinstance(value, list):
+        if not isinstance(value, list) or any(type(v) is not int for v in value):
             raise ParseError(f"bad permutation literal {value!r}")
         try:
-            return self.check(tuple(int(v) - 1 for v in value))
-        except (TypeError, ValueError, DomainMismatch) as exc:
+            return self.check(tuple(v - 1 for v in value))
+        except DomainMismatch as exc:
             raise ParseError(f"bad permutation literal {value!r}") from exc
 
     def spec(self):

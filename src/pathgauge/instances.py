@@ -1,4 +1,4 @@
-"""Desk-scale fixtures, word enumerators, and seeded random instances.
+"""Desk-scale fixtures, index walks, and seeded random instances.
 
 The two standing fixtures are the theta graph (two vertices joined by three
 parallel edges; loop group free of rank 2) and the wedge of two self-loops
@@ -9,13 +9,11 @@ instances stay small enough that reduced-loop enumeration is exhaustive.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from .complexes import BaseComplex, Edge, build_tree
 from .gauge import BundlePoint, GaugeField
 from .groups import CyclicCtx, GroupCtx, HoloSpec, PermutationCtx
 from .reconstruct import BCObject, HolObject, bc_object, bundle_from_holonomy, hol_object
-from .words import PathWord, empty_word
 
 
 def theta_complex() -> BaseComplex:
@@ -76,47 +74,6 @@ def theta_bc() -> BCObject:
 
 def wedge_bc() -> BCObject:
     return bc_object(wedge_gauge())
-
-
-def enumerate_words(cx: BaseComplex, max_len: int, starts=None) -> Iterator[PathWord]:
-    """Every incidence-valid word of length at most max_len, shortest first."""
-    if starts is None:
-        starts = cx.vertices
-    layer = [empty_word(v) for v in starts]
-    for w in layer:
-        yield w
-    for _ in range(max_len):
-        nxt = []
-        for w in layer:
-            for step in cx.out_steps(w.dst):
-                grown = PathWord(w.steps + (step,), w.vertices + (cx.step_head(step),))
-                nxt.append(grown)
-                yield grown
-        layer = nxt
-
-
-def reduced_words_from(cx: BaseComplex, start: str, max_len: int) -> list[PathWord]:
-    """Every reduced word out of `start` with length at most max_len."""
-    out = [empty_word(start)]
-    layer = [empty_word(start)]
-    for _ in range(max_len):
-        nxt = []
-        for w in layer:
-            for step in cx.out_steps(w.dst):
-                if w.steps and w.steps[-1].cancels(step):
-                    continue
-                grown = PathWord(w.steps + (step,), w.vertices + (cx.step_head(step),))
-                nxt.append(grown)
-                out.append(grown)
-        layer = nxt
-    return out
-
-
-def enumerate_reduced_loops(cx: BaseComplex, max_len: int) -> list[PathWord]:
-    """Every reduced based loop of length at most max_len (the empty one first)."""
-    return [
-        w for w in reduced_words_from(cx, cx.basepoint, max_len) if w.dst == cx.basepoint
-    ]
 
 
 def monotone_walks(n: int) -> list[list[int]]:

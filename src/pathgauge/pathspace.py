@@ -84,32 +84,37 @@ class FPath:
                 )
 
 
+def _extend_anchor(anchor: PathWord, word: PathWord, t0: int) -> list[PathWord]:
+    """reduce(anchor ++ subword(word, t0, s)) for every position s of `word`.
+
+    The anchor must end where `word` is at t0; the segment runs backwards for
+    s < t0.  This is the word part of every horizontal lift and projection.
+    """
+    n = len(word.steps)
+    if not 0 <= t0 <= n:
+        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
+    if anchor.dst != word.vertex_at(t0):
+        raise BaseMismatch(
+            f"point over {anchor.dst!r} cannot start a lift at {word.vertex_at(t0)!r}"
+        )
+    return [reduce_word(concat(anchor, subword(word, t0, s))) for s in range(n + 1)]
+
+
+def _check_index(r: int, n: int) -> None:
+    if not 0 <= r <= n:
+        raise IndexOutOfRange(f"index {r} outside path of length {n}")
+
+
 def universal_connection(path: FPath, r: int) -> FPath:
     """Horizontal projection at index r: keep the point at r, extend it by the
     base segment to every other index (reversed segment when moving left)."""
-    n = len(path.word.steps)
-    if not 0 <= r <= n:
-        raise IndexOutOfRange(f"index {r} outside path of length {n}")
-    anchor = path.points[r].word
-    points = tuple(
-        FPoint(reduce_word(concat(anchor, subword(path.word, r, s)))) for s in range(n + 1)
-    )
-    return FPath(path.word, points)
+    _check_index(r, len(path.word.steps))
+    return universal_lift(path.word, r, path.points[r])
 
 
 def universal_lift(word: PathWord, t0: int, start: FPoint) -> FPath:
     """The horizontal path over `word` through `start` at index t0."""
-    n = len(word.steps)
-    if not 0 <= t0 <= n:
-        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
-    if start.target != word.vertex_at(t0):
-        raise BaseMismatch(
-            f"point over {start.target!r} cannot start a lift at {word.vertex_at(t0)!r}"
-        )
-    points = tuple(
-        FPoint(reduce_word(concat(start.word, subword(word, t0, s)))) for s in range(n + 1)
-    )
-    return FPath(word, points)
+    return FPath(word, tuple(FPoint(w) for w in _extend_anchor(start.word, word, t0)))
 
 
 def is_universally_horizontal(path: FPath) -> bool:
@@ -193,31 +198,14 @@ def associated_connection(path: AssocPath, r: int) -> AssocPath:
     fiber factor at r replaces every other fiber factor.  The output class at
     each position is independent of which representatives the input carried.
     """
-    n = len(path.word.steps)
-    if not 0 <= r <= n:
-        raise IndexOutOfRange(f"index {r} outside path of length {n}")
-    anchor = path.points[r]
-    points = tuple(
-        AssociatedPoint(reduce_word(concat(anchor.word, subword(path.word, r, s))), anchor.g)
-        for s in range(n + 1)
-    )
-    return AssocPath(path.word, points)
+    _check_index(r, len(path.word.steps))
+    return associated_lift(path.word, r, path.points[r])
 
 
 def associated_lift(word: PathWord, t0: int, start: AssociatedPoint) -> AssocPath:
     """Horizontal path in the associated bundle; the fiber factor rides along."""
-    n = len(word.steps)
-    if not 0 <= t0 <= n:
-        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
-    if start.base != word.vertex_at(t0):
-        raise BaseMismatch(
-            f"class over {start.base!r} cannot start a lift at {word.vertex_at(t0)!r}"
-        )
-    points = tuple(
-        AssociatedPoint(reduce_word(concat(start.word, subword(word, t0, s))), start.g)
-        for s in range(n + 1)
-    )
-    return AssocPath(word, points)
+    words = _extend_anchor(start.word, word, t0)
+    return AssocPath(word, tuple(AssociatedPoint(w, start.g) for w in words))
 
 
 def assocpath_along_walk(path: AssocPath, walk: Walk) -> AssocPath:

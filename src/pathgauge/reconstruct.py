@@ -16,7 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .complexes import BaseComplex, SpanningTree, build_tree, chord_loops, tree_path
+from .complexes import (
+    BaseComplex,
+    SpanningTree,
+    build_tree,
+    check_graph_map,
+    chord_loops,
+    compose_graph_maps,
+    enumerate_reduced_loops,
+    enumerate_words,
+    identity_graph_map,
+    map_word,
+    reduced_words_from,
+    tree_path,
+)
 from .errors import (
     BaseMismatch,
     ConjugacyViolated,
@@ -33,67 +46,56 @@ from .gauge import (
     holonomy_rep,
     horizontal_lift,
     transport,
+    tree_transports,
 )
 from .groups import GroupCtx, GroupElement, HoloSpec
 from .pathspace import AssociatedPoint, AssocPath, associated_connection
-from .words import EdgeStep, PathWord, concat, reduce_word, reverse_word
+from .words import PathWord, concat, reduce_word, reverse_word
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HolObject:
     """A pointed complex together with a chord-presented loop homomorphism."""
 
-    complex: BaseComplex
-    tree: SpanningTree
     spec: HoloSpec
 
-    def __post_init__(self) -> None:
-        if self.spec.complex != self.complex or self.spec.tree != self.tree:
-            raise ValueError("holonomy spec was built over a different complex or tree")
+    @property
+    def complex(self) -> BaseComplex:
+        return self.spec.complex
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HolObject):
-            return NotImplemented
-        return (
-            self.complex == other.complex
-            and self.tree == other.tree
-            and self.spec == other.spec
-        )
+    @property
+    def tree(self) -> SpanningTree:
+        return self.spec.tree
 
 
 def hol_object(spec: HoloSpec) -> HolObject:
-    return HolObject(spec.complex, spec.tree, spec)
+    return HolObject(spec)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BCObject:
     """A gauge field with a marked point over the basepoint."""
 
-    complex: BaseComplex
     tree: SpanningTree
-    ctx: GroupCtx
     gauge: GaugeField
     xi0: BundlePoint
 
     def __post_init__(self) -> None:
-        if self.gauge.complex != self.complex or self.gauge.ctx != self.ctx:
-            raise ValueError("gauge field was built over a different complex or context")
+        if self.tree.complex != self.gauge.complex:
+            raise ValueError("spanning tree was built over a different complex")
         if self.xi0.base != self.complex.basepoint:
             raise BaseMismatch(
                 f"marked point over {self.xi0.base!r}, basepoint is {self.complex.basepoint!r}"
             )
         self.ctx.check(self.xi0.fiber)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BCObject):
-            return NotImplemented
-        return (
-            self.complex == other.complex
-            and self.tree == other.tree
-            and self.ctx == other.ctx
-            and self.gauge == other.gauge
-            and self.xi0 == other.xi0
-        )
+    @property
+    def complex(self) -> BaseComplex:
+        return self.gauge.complex
+
+    @property
+    def ctx(self) -> GroupCtx:
+        return self.gauge.ctx
 
 
 def bc_object(gauge: GaugeField, xi0: BundlePoint | None = None, tree: SpanningTree | None = None) -> BCObject:
@@ -101,7 +103,7 @@ def bc_object(gauge: GaugeField, xi0: BundlePoint | None = None, tree: SpanningT
         tree = build_tree(gauge.complex)
     if xi0 is None:
         xi0 = BundlePoint(gauge.complex.basepoint, gauge.ctx.identity())
-    return BCObject(gauge.complex, tree, gauge.ctx, gauge, xi0)
+    return BCObject(tree, gauge, xi0)
 
 
 def bundle_from_holonomy(obj: HolObject) -> BCObject:
@@ -114,15 +116,14 @@ def bundle_from_holonomy(obj: HolObject) -> BCObject:
     labels = {e.id: obj.spec.label(e.id) for e in obj.complex.edges}
     gauge = GaugeField(obj.complex, obj.spec.ctx, labels)
     xi0 = BundlePoint(obj.complex.basepoint, obj.spec.ctx.identity())
-    return BCObject(obj.complex, obj.tree, obj.spec.ctx, gauge, xi0)
+    return BCObject(obj.tree, gauge, xi0)
 
 
 def holonomy_of_bundle(bc: BCObject) -> HolObject:
     """Measure the holonomy representation of a bundle on its chord loops."""
     loops = chord_loops(bc.complex, bc.tree)
     assignment = {chord: holonomy_rep(bc.gauge, bc.xi0, loop) for chord, loop in loops.items()}
-    spec = HoloSpec(bc.complex, bc.tree, bc.ctx, assignment)
-    return HolObject(bc.complex, bc.tree, spec)
+    return HolObject(HoloSpec(bc.complex, bc.tree, bc.ctx, assignment))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,20 +159,14 @@ class ReconstructionIso:
 
     def as_bundle_map(self) -> BundleMap:
         """The same isomorphism as a fiber-adjusting morphism over the identity."""
-        cx = self.bc.complex
-        return BundleMap(
-            {v: v for v in cx.vertices},
-            {e.id: e.id for e in cx.edges},
-            dict(self.adjust),
-        )
+        return BundleMap(*identity_graph_map(self.bc.complex), dict(self.adjust))
 
 
 def reconstruct_iso(bc: BCObject) -> ReconstructionIso:
     obj = holonomy_of_bundle(bc)
     ctx = bc.ctx
     adjust = {
-        v: ctx.mul(transport(bc.gauge, tree_path(bc.tree, v)), bc.xi0.fiber)
-        for v in bc.complex.vertices
+        v: ctx.mul(t, bc.xi0.fiber) for v, t in tree_transports(bc.gauge, bc.tree).items()
     }
     return ReconstructionIso(bc, obj.spec, adjust)
 
@@ -194,20 +189,18 @@ def conjugation_iso(bc: BCObject, other: BCObject, g: GroupElement) -> BundleMap
     _require_comparable(bc, other)
     ctx = bc.ctx
     ctx.check(g)
-    H = holonomy_of_bundle(bc).spec
-    H2 = holonomy_of_bundle(other).spec
-    for chord in sorted(H.assignment):
-        if H.assignment[chord] != ctx.conjugate(g, H2.assignment[chord]):
-            raise ConjugacyViolated(chord)
     iso = reconstruct_iso(bc)
     iso2 = reconstruct_iso(other)
-    middle = ctx.mul(ctx.inv(g), ctx.inv(bc.xi0.fiber))
+    H, H2 = iso.spec.assignment, iso2.spec.assignment
+    for chord in sorted(H):
+        if H[chord] != ctx.conjugate(g, H2[chord]):
+            raise ConjugacyViolated(chord)
+    g_inv = ctx.inv(g)
     adjust = {
-        v: ctx.mul(iso2.adjust[v], ctx.mul(middle, ctx.inv(transport(bc.gauge, tree_path(bc.tree, v)))))
+        v: ctx.mul(iso2.adjust[v], ctx.mul(g_inv, ctx.inv(iso.adjust[v])))
         for v in bc.complex.vertices
     }
-    cx = bc.complex
-    return BundleMap({v: v for v in cx.vertices}, {e.id: e.id for e in cx.edges}, adjust)
+    return BundleMap(*identity_graph_map(bc.complex), adjust)
 
 
 def find_conjugator(bc: BCObject, other: BCObject) -> GroupElement | None:
@@ -235,18 +228,14 @@ def gauge_morphism_exists(bc: BCObject, other: BCObject) -> bool:
     if not bc.ctx.is_finite:
         raise InfiniteContext("morphism search requires a finite context")
     ctx = bc.ctx
-    cx = bc.complex
+    t1_inv = {v: ctx.inv(t) for v, t in tree_transports(bc.gauge, bc.tree).items()}
+    t2 = tree_transports(other.gauge, bc.tree)
     for seed in ctx.elements():
-        adjust: dict[str, GroupElement] = {}
-        for v in cx.vertices:
-            path = tree_path(bc.tree, v)
-            t1 = transport(bc.gauge, path)
-            t2 = transport(other.gauge, path)
-            adjust[v] = ctx.mul(t2, ctx.mul(seed, ctx.inv(t1)))
+        adjust = {v: ctx.mul(t2[v], ctx.mul(seed, t1_inv[v])) for v in t2}
         ok = all(
             ctx.mul(adjust[e.dst], bc.gauge.labels[e.id])
             == ctx.mul(other.gauge.labels[e.id], adjust[e.src])
-            for e in cx.edges
+            for e in bc.complex.edges
         )
         if ok:
             return True
@@ -261,35 +250,20 @@ class HolMorphism:
     edge_map: dict[str, str]
 
     def on_word(self, dst_cx: BaseComplex, word: PathWord) -> PathWord:
-        steps = tuple(EdgeStep(self.edge_map[s.edge], s.forward) for s in word.steps)
-        return dst_cx.word(steps, at=self.vertex_map[word.src])
+        return map_word(self, dst_cx, word)
 
 
 def check_hol_morphism(f: HolMorphism, src: BaseComplex, dst: BaseComplex) -> None:
     """Raise NonEquivariantSpec unless f is a pointed, incidence-preserving map."""
-    dst_vertices = set(dst.vertices)
-    for v in src.vertices:
-        if v not in f.vertex_map or f.vertex_map[v] not in dst_vertices:
-            raise NonEquivariantSpec(f"vertex {v!r} has no valid image")
-    for e in src.edges:
-        if e.id not in f.edge_map or not dst.has_edge(f.edge_map[e.id]):
-            raise NonEquivariantSpec(f"edge {e.id!r} has no valid image (edges must map to edges)")
-        image = dst.edge(f.edge_map[e.id])
-        if image.src != f.vertex_map[e.src] or image.dst != f.vertex_map[e.dst]:
-            raise NonEquivariantSpec(f"edge {e.id!r} image breaks incidence")
-    if f.vertex_map[src.basepoint] != dst.basepoint:
-        raise NonEquivariantSpec("map does not preserve the basepoint")
+    check_graph_map(f, src, dst)
 
 
 def identity_hol_morphism(cx: BaseComplex) -> HolMorphism:
-    return HolMorphism({v: v for v in cx.vertices}, {e.id: e.id for e in cx.edges})
+    return HolMorphism(*identity_graph_map(cx))
 
 
 def compose_hol_morphisms(second: HolMorphism, first: HolMorphism) -> HolMorphism:
-    return HolMorphism(
-        {v: second.vertex_map[first.vertex_map[v]] for v in first.vertex_map},
-        {e: second.edge_map[first.edge_map[e]] for e in first.edge_map},
-    )
+    return HolMorphism(*compose_graph_maps(second, first))
 
 
 def hol_morphism_to_bundle(f: HolMorphism, src: HolObject, dst: HolObject) -> BundleMap:
@@ -366,10 +340,13 @@ class Report:
         return {"format": 1, "checks": out}
 
 
-def _enumerate_reduced_loops(cx: BaseComplex, max_len: int) -> list[PathWord]:
-    from .instances import enumerate_reduced_loops
-
-    return enumerate_reduced_loops(cx, max_len)
+def first_unrealized_loop(bc: BCObject, spec: HoloSpec, max_len: int) -> PathWord | None:
+    """The first reduced based loop of length at most max_len whose holonomy
+    at the marked point differs from the spec's value, or None."""
+    for loop in enumerate_reduced_loops(bc.complex, max_len):
+        if holonomy_rep(bc.gauge, bc.xi0, loop) != spec.eval(loop):
+            return loop
+    return None
 
 
 def verify_reconstruction(
@@ -393,33 +370,18 @@ def verify_reconstruction(
     cx = bc.complex
 
     if ctx.is_finite:
-        els = ctx.elements()
-        images = set()
-        injective = True
-        for v in cx.vertices:
-            for g in els:
-                xi = iso.forward_canonical(v, g)
-                if (xi.base, xi.fiber) in images:
-                    injective = False
-                images.add((xi.base, xi.fiber))
-        surjective = len(images) == len(cx.vertices) * len(els)
-        report.add(prefix + "/bijective", injective and surjective)
-        round_ok = all(
-            iso.inverse(iso.forward_canonical(v, g)) == (v, g)
-            for v in cx.vertices
-            for g in els
-        )
-        report.add(prefix + "/inverse-roundtrip", round_ok)
-        test_elements = els
+        test_elements = ctx.elements()
+        # V * |G| inputs are injective exactly when they have that many images.
+        images = {iso.forward_canonical(v, g) for v in cx.vertices for g in test_elements}
+        report.add(prefix + "/bijective", len(images) == len(cx.vertices) * len(test_elements))
     else:
-        sample = [ctx.identity()] + list(spec.assignment.values())
-        round_ok = all(
-            iso.inverse(iso.forward_canonical(v, g)) == (v, g)
-            for v in cx.vertices
-            for g in sample
-        )
-        report.add(prefix + "/inverse-roundtrip", round_ok)
-        test_elements = sample
+        test_elements = [ctx.identity()] + list(spec.assignment.values())
+    round_ok = all(
+        iso.inverse(iso.forward_canonical(v, g)) == (v, g)
+        for v in cx.vertices
+        for g in test_elements
+    )
+    report.add(prefix + "/inverse-roundtrip", round_ok)
 
     equivariant = True
     witness = None
@@ -442,8 +404,6 @@ def verify_reconstruction(
 
     intertwine_ok = True
     witness = None
-    from .instances import enumerate_words, reduced_words_from
-
     if anchor_max_len is None:
         anchors = {v: [tree_path(bc.tree, v)] for v in cx.vertices}
     else:
@@ -510,12 +470,7 @@ def roundtrip_check(
                 }
             },
         )
-        loops = _enumerate_reduced_loops(obj.complex, max_loop_len)
-        bad = None
-        for loop in loops:
-            if holonomy_rep(bc.gauge, bc.xi0, loop) != obj.spec.eval(loop):
-                bad = loop
-                break
+        bad = first_unrealized_loop(bc, obj.spec, max_loop_len)
         report.add(
             label + "/holonomy-realized",
             bad is None,
@@ -530,14 +485,7 @@ def roundtrip_check(
         again = holonomy_of_bundle(rebuilt)
         report.add(label + "/bc-hol-bc-holonomy", again.spec == obj.spec)
         verify_reconstruction(bc, report, label + "/iso", max_word_len=iso_word_len)
-        loops = _enumerate_reduced_loops(bc.complex, max_loop_len)
-        bad = None
-        for loop in loops:
-            lhs = holonomy_rep(bc.gauge, bc.xi0, loop)
-            rhs = obj.spec.eval(loop)
-            if lhs != rhs:
-                bad = loop
-                break
+        bad = first_unrealized_loop(bc, obj.spec, max_loop_len)
         report.add(
             label + "/extracted-holonomy-consistent",
             bad is None,

@@ -20,7 +20,14 @@ import numpy as np
 
 from pathgauge import numeric
 from pathgauge.cli import _retrace_defect, main
-from pathgauge.complexes import build_tree, chord_loops, tree_path
+from pathgauge.complexes import (
+    build_tree,
+    chord_loops,
+    enumerate_reduced_loops,
+    enumerate_words,
+    reduced_words_from,
+    tree_path,
+)
 from pathgauge.gauge import (
     EPath,
     act_fibers,
@@ -32,12 +39,9 @@ from pathgauge.gauge import (
 )
 from pathgauge.instances import (
     conjugate_bc_pair,
-    enumerate_reduced_loops,
-    enumerate_words,
     monotone_walks,
     nonconjugate_bc_pair,
     random_hol_object,
-    reduced_words_from,
     theta_bc,
     theta_complex,
     theta_gauge,

@@ -79,6 +79,19 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="a"):
             parse_complex(json.dumps(doc))
 
+    def test_non_string_vertex_named(self):
+        doc = json.loads(THETA_CX)
+        doc["vertices"] = [1, "1"]
+        with pytest.raises(ParseError, match="1"):
+            parse_complex(json.dumps(doc))
+
+    def test_float_element_literal_names_edge(self):
+        cx = parse_complex(THETA_CX)
+        doc = json.loads(THETA_GAUGE)
+        doc["assignments"]["b"] = 2.9
+        with pytest.raises(ParseError, match="'b'"):
+            parse_gauge(json.dumps(doc), cx)
+
     def test_gauge_missing_edge_named(self):
         cx = parse_complex(THETA_CX)
         doc = json.loads(THETA_GAUGE)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pathgauge.complexes import (
@@ -5,12 +7,12 @@ from pathgauge.complexes import (
     Edge,
     build_tree,
     chord_loops,
+    enumerate_reduced_loops,
     factor_loop,
     radial_paths,
     tree_path,
 )
 from pathgauge.errors import NotConnected, ParseError
-from pathgauge.instances import enumerate_reduced_loops
 from pathgauge.words import empty_word, loop_id, loop_inv, loop_mul, reduce_word
 
 
@@ -36,6 +38,17 @@ def test_edge_with_missing_vertex_rejected():
 def test_duplicate_edge_id_rejected():
     with pytest.raises(ParseError, match="dup"):
         BaseComplex(("v0", "v1"), (Edge("dup", "v0", "v1"), Edge("dup", "v1", "v0")), "v0")
+
+
+def test_duplicate_vertex_id_rejected():
+    with pytest.raises(ParseError, match="'v0'"):
+        BaseComplex(("v0", "v0", "v1"), (Edge("a", "v0", "v1"),), "v0")
+
+
+@pytest.mark.parametrize("edge_id", ["a,b", "~a", "a~", "a@b", "@a", " a", "a "])
+def test_edge_id_breaking_word_literals_rejected(edge_id):
+    with pytest.raises(ParseError, match=re.escape(repr(edge_id))):
+        BaseComplex(("v0", "v1"), (Edge(edge_id, "v0", "v1"),), "v0")
 
 
 class TestBuildTree:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pathgauge.complexes import enumerate_reduced_loops, enumerate_words
 from pathgauge.errors import BaseMismatch, IndexOutOfRange, NonEquivariantSpec, UnknownEdge
 from pathgauge.gauge import (
     BundleMap,
@@ -22,7 +23,7 @@ from pathgauge.gauge import (
     transport,
 )
 from pathgauge.groups import CyclicCtx, PermutationCtx
-from pathgauge.instances import enumerate_reduced_loops, enumerate_words, monotone_walks
+from pathgauge.instances import monotone_walks
 from pathgauge.words import concat, empty_word, loop_id, reduce_word, reverse_word
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathgauge.complexes import enumerate_reduced_loops, enumerate_words
 from pathgauge.errors import BaseMismatch, DomainMismatch, InfiniteContext, ParseError
 from pathgauge.groups import (
     CyclicCtx,
@@ -15,7 +16,6 @@ from pathgauge.groups import (
     ctx_from_spec,
     subgroup_closure,
 )
-from pathgauge.instances import enumerate_reduced_loops, enumerate_words
 from pathgauge.words import loop_inv, loop_mul, reduce_word
 
 
@@ -114,6 +114,22 @@ class TestDomains:
         ctx = RationalMatrixCtx(2)
         with pytest.raises(DomainMismatch):
             ctx.matrix([[1, 1], [1, 1]])
+
+    def test_cyclic_rejects_bool(self):
+        with pytest.raises(DomainMismatch):
+            CyclicCtx(5).check(True)
+        with pytest.raises(ParseError):
+            CyclicCtx(5).from_literal(True)
+
+    def test_cyclic_literal_rejects_float(self):
+        for value in (2.9, 2.0):
+            with pytest.raises(ParseError):
+                CyclicCtx(5).from_literal(value)
+
+    def test_permutation_literal_rejects_float_entry(self):
+        for literal in ("[2.9,1,3]", '["2",1,3]', "[true,2,3]"):
+            with pytest.raises(ParseError):
+                PermutationCtx(3).from_literal(literal)
 
     def test_literals_roundtrip(self):
         for ctx, el in [

@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from pathgauge.complexes import tree_path
-from pathgauge.errors import BaseMismatch, EndpointMismatch, IndexOutOfRange
-from pathgauge.instances import (
+from pathgauge.complexes import (
     enumerate_reduced_loops,
     enumerate_words,
-    monotone_walks,
     reduced_words_from,
+    tree_path,
 )
+from pathgauge.errors import BaseMismatch, EndpointMismatch, IndexOutOfRange
+from pathgauge.instances import monotone_walks
 from pathgauge.pathspace import (
     AssocPath,
     AssociatedPoint,

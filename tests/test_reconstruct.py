@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pathgauge.complexes import chord_loops
+from pathgauge.complexes import chord_loops, enumerate_reduced_loops
 from pathgauge.errors import (
     BaseMismatch,
     ConjugacyViolated,
@@ -14,7 +14,6 @@ from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism, holo
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
 from pathgauge.instances import (
     conjugate_bc_pair,
-    enumerate_reduced_loops,
     nonconjugate_bc_pair,
     random_bc_object,
     random_hol_object,
@@ -88,6 +87,12 @@ class TestHolonomyOfBundle:
             assert moved.spec.assignment[chord] == ctx.conjugate(
                 ctx.inv(a), plain.spec.assignment[chord]
             )
+
+    def test_bc_object_rejects_mismatched_parts(self, theta_field, wedge_tree):
+        with pytest.raises(ValueError):
+            bc_object(theta_field, tree=wedge_tree)
+        with pytest.raises(BaseMismatch):
+            bc_object(theta_field, BundlePoint("v1", 0))
 
 
 class TestReconstructIso:
@@ -237,7 +242,7 @@ class TestConjugation:
 
 def _assert_morphism_intertwines(F, src, dst):
     from pathgauge.gauge import bundle_morphism_on_epath, horizontal_lift, project_horizontal
-    from pathgauge.instances import enumerate_words
+    from pathgauge.complexes import enumerate_words
 
     ctx = src.ctx
     for word in itertools.islice(enumerate_words(src.complex, 2), 40):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathgauge.complexes import enumerate_reduced_loops, enumerate_words
 from pathgauge.errors import EndpointMismatch, IndexOutOfRange
-from pathgauge.instances import enumerate_reduced_loops, enumerate_words
 from pathgauge.words import (
     concat,
     empty_word,
