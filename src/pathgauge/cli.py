@@ -123,6 +123,8 @@ def cmd_reconstruct(args, out) -> int:
 
 
 def cmd_roundtrip(args, out) -> int:
+    if args.instances < 1:
+        raise ParseError("--instances must be >= 1")
     rng = random.Random(args.seed)
     objs = [random_hol_object(rng) for _ in range(args.instances)]
     ids = [f"instance-{i:03d}" for i in range(args.instances)]
@@ -178,6 +180,8 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_numeric_check(args, out) -> int:
+    if args.trials < 1:
+        raise ParseError("--trials must be >= 1")
     rng = random.Random(args.seed)
     report = Report()
 

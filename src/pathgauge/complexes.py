@@ -124,7 +124,7 @@ class BaseComplex:
         return len(seen) == len(self.vertices)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree with parent steps pointing toward the basepoint.
 
@@ -134,16 +134,7 @@ class SpanningTree:
 
     complex: BaseComplex
     tree_edges: frozenset[str]
-    parent: dict[str, EdgeStep]
-
-    def __eq__(self, other: object) -> bool:
-        # parent map is determined by (complex, tree_edges)
-        if not isinstance(other, SpanningTree):
-            return NotImplemented
-        return self.complex == other.complex and self.tree_edges == other.tree_edges
-
-    def __hash__(self) -> int:
-        return hash((self.complex, self.tree_edges))
+    parent: dict[str, EdgeStep] = field(compare=False)  # determined by the other two
 
     def chords(self) -> list[str]:
         return [e.id for e in self.complex.edges if e.id not in self.tree_edges]
@@ -155,8 +146,6 @@ def build_tree(cx: BaseComplex) -> SpanningTree:
     Repeatedly attach the frontier edge minimizing (new vertex id, edge id);
     self-loops never enter the tree.  Identical inputs give identical trees.
     """
-    if not cx.is_connected():
-        raise NotConnected("complex is not connected")
     visited = {cx.basepoint}
     tree: set[str] = set()
     parent: dict[str, EdgeStep] = {}
@@ -173,7 +162,8 @@ def build_tree(cx: BaseComplex) -> SpanningTree:
                 continue
             if best is None or (cand[0], cand[1]) < (best[0], best[1]):
                 best = cand
-        assert best is not None  # connectivity guarantees a frontier edge
+        if best is None:
+            raise NotConnected("complex is not connected")
         new_vertex, _, step = best
         visited.add(new_vertex)
         tree.add(step.edge)
@@ -226,8 +216,6 @@ def radial_paths(cx: BaseComplex, origin: str) -> dict[str, PathWord]:
     """
     if origin not in set(cx.vertices):
         raise ParseError(f"unknown vertex {origin!r}")
-    if not cx.is_connected():
-        raise NotConnected("complex is not connected")
     parent: dict[str, EdgeStep] = {}
     seen = {origin}
     frontier = [origin]
@@ -247,7 +235,8 @@ def radial_paths(cx: BaseComplex, origin: str) -> dict[str, PathWord]:
             parent[w] = step.flipped()  # step from w back toward origin
             next_frontier.append(w)
         frontier = next_frontier
-
+    if len(seen) < len(cx.vertices):
+        raise NotConnected("complex is not connected")
     return {v: _parent_chain_word(cx, parent, origin, v) for v in cx.vertices}
 
 

@@ -11,7 +11,6 @@ and the two commute, which is all the equivariance below amounts to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import (
     BaseComplex,
@@ -39,7 +38,7 @@ class BundlePoint:
     fiber: GroupElement
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GaugeField:
     """Edge labeling into a group; the transport data of a connection."""
 
@@ -59,18 +58,6 @@ class GaugeField:
             except DomainMismatch as exc:
                 raise ParseError(f"edge {edge_id!r}: {exc}") from exc
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaugeField):
-            return NotImplemented
-        return (
-            self.complex == other.complex
-            and self.ctx == other.ctx
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.complex, self.ctx, tuple(sorted(self.labels.items()))))
-
     def step_transport(self, step) -> GroupElement:
         if step.edge not in self.labels:
             raise UnknownEdge(f"edge {step.edge!r} not labeled")
@@ -78,30 +65,24 @@ class GaugeField:
         return g if step.forward else self.ctx.inv(g)
 
 
-def transport(field: GaugeField, word: PathWord) -> GroupElement:
-    """Fiber displacement along a word; later steps multiply on the left."""
-    return _position_transports(field, word)[-1]
-
-
-@lru_cache(maxsize=100_000)
-def _position_transports(field: GaugeField, word: PathWord) -> tuple[GroupElement, ...]:
+def position_transports(field: GaugeField, word: PathWord) -> list[GroupElement]:
+    """P[i] = transport of the first i steps; then transport from r to s is
+    P[s] * P[r]^-1 for every pair, in either direction."""
     ctx = field.ctx
     out = [ctx.identity()]
     for step in word.steps:
         out.append(ctx.mul(field.step_transport(step), out[-1]))
-    return tuple(out)
+    return out
+
+
+def transport(field: GaugeField, word: PathWord) -> GroupElement:
+    """Fiber displacement along a word; later steps multiply on the left."""
+    return position_transports(field, word)[-1]
 
 
 def tree_transports(field: GaugeField, tree: SpanningTree) -> dict[str, GroupElement]:
     """T(v): transport along the tree path from the basepoint to each vertex."""
     return {v: transport(field, tree_path(tree, v)) for v in field.complex.vertices}
-
-
-def position_transports(field: GaugeField, word: PathWord) -> list[GroupElement]:
-    """P[i] = transport of the first i steps; then transport from r to s is
-    P[s] * P[r]^-1 for every pair, in either direction.  Cached per word,
-    which is what makes the exhaustive axiom sweeps affordable."""
-    return list(_position_transports(field, word))
 
 
 @dataclass(frozen=True)
@@ -134,7 +115,7 @@ def horizontal_lift(field: GaugeField, word: PathWord, t0: int, xi: BundlePoint)
         )
     ctx = field.ctx
     ctx.check(xi.fiber)
-    pos = _position_transports(field, word)
+    pos = position_transports(field, word)
     start = ctx.mul(ctx.inv(pos[t0]), xi.fiber)
     fibers = tuple(ctx.mul(pos[s], start) for s in range(n + 1))
     return EPath(word, fibers)

@@ -22,7 +22,14 @@ GroupElement = Any  # int | tuple[int, ...] | tuple[tuple[Fraction, ...], ...]
 
 
 class GroupCtx:
-    """Abstract exact group: multiplication, inversion, identity, equality."""
+    """Abstract exact group: multiplication, inversion, identity, equality.
+
+    `check` is the one membership test, and it runs where an element enters
+    the library: `from_literal`, `RationalMatrixCtx.matrix`, the gauge field
+    and holonomy spec constructors, marked points, conjugators, morphism
+    adjusters and closure generators.  `mul`, `inv` and `to_literal` assume
+    members and only compute.
+    """
 
     kind: str = ""
 
@@ -144,12 +151,9 @@ class PermutationCtx(GroupCtx):
         return tuple(range(self.degree))
 
     def mul(self, a, b):
-        self.check(a)
-        self.check(b)
-        return tuple(a[b[i]] for i in range(self.degree))
+        return tuple(a[i] for i in b)
 
     def inv(self, a):
-        self.check(a)
         out = [0] * self.degree
         for i, v in enumerate(a):
             out[v] = i
@@ -174,7 +178,6 @@ class PermutationCtx(GroupCtx):
         return gens
 
     def to_literal(self, a):
-        self.check(a)
         return "[" + ",".join(str(v + 1) for v in a) + "]"
 
     def from_literal(self, value):
@@ -192,18 +195,6 @@ class PermutationCtx(GroupCtx):
 
     def spec(self):
         return {"type": "permutation", "degree": self.degree}
-
-
-def _mat_det(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = Fraction(0)
-    for j in range(n):
-        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
-        term = rows[0][j] * _mat_det(minor)
-        det += term if j % 2 == 0 else -term
-    return det
 
 
 @dataclass(frozen=True)
@@ -230,8 +221,7 @@ class RationalMatrixCtx(GroupCtx):
             or any(not isinstance(v, Fraction) for r in a for v in r)
         ):
             raise DomainMismatch(f"{a!r} is not a {self.dim}x{self.dim} rational matrix")
-        if _mat_det(a) == 0:
-            raise DomainMismatch("matrix is singular")
+        self.inv(a)  # raises on a singular matrix
         return a
 
     def identity(self):
@@ -240,19 +230,18 @@ class RationalMatrixCtx(GroupCtx):
         )
 
     def mul(self, a, b):
-        self.check(a)
-        self.check(b)
         n = self.dim
         return tuple(
             tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
         )
 
     def inv(self, a):
-        self.check(a)
         n = self.dim
         aug = [list(a[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+            if pivot is None:
+                raise DomainMismatch("matrix is singular")
             aug[col], aug[pivot] = aug[pivot], aug[col]
             pv = aug[col][col]
             aug[col] = [v / pv for v in aug[col]]
@@ -263,7 +252,6 @@ class RationalMatrixCtx(GroupCtx):
         return tuple(tuple(aug[i][n:]) for i in range(n))
 
     def to_literal(self, a):
-        self.check(a)
         return json.dumps([[str(v) for v in row] for row in a])
 
     def from_literal(self, value):
@@ -287,15 +275,13 @@ def ctx_from_spec(spec: dict) -> GroupCtx:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ParseError(f"group spec must be an object with a 'type' field, got {spec!r}")
     kind = spec["type"]
-    try:
-        if kind == "cyclic":
-            return CyclicCtx(int(spec["order"]))
-        if kind == "permutation":
-            return PermutationCtx(int(spec["degree"]))
-        if kind == "rational_matrix":
-            return RationalMatrixCtx(int(spec["dim"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad group spec {spec!r}") from exc
+    for cls, name in ((CyclicCtx, "order"), (PermutationCtx, "degree"), (RationalMatrixCtx, "dim")):
+        if kind == cls.kind:
+            # int() would truncate floats and accept bools and strings.
+            size = spec.get(name)
+            if type(size) is not int:
+                raise ParseError(f"group spec field {name!r} must be an integer, got {size!r}")
+            return cls(size)
     raise ParseError(f"unknown group type {kind!r}")
 
 
@@ -319,7 +305,7 @@ def subgroup_closure(ctx: GroupCtx, gens: Iterable[GroupElement]) -> frozenset:
     return frozenset(closure)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HoloSpec:
     """A homomorphism from based loops into a group, given on chord loops.
 
@@ -345,16 +331,6 @@ class HoloSpec:
                 self.ctx.check(el)
             except DomainMismatch as exc:
                 raise ParseError(f"chord {chord!r}: {exc}") from exc
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HoloSpec):
-            return NotImplemented
-        return (
-            self.complex == other.complex
-            and self.tree == other.tree
-            and self.ctx == other.ctx
-            and self.assignment == other.assignment
-        )
 
     def label(self, edge_id: str) -> GroupElement:
         if not self.complex.has_edge(edge_id):

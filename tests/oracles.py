@@ -8,6 +8,8 @@ share no code path with what they verify.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from pathgauge.words import PathWord
 
 
@@ -54,3 +56,20 @@ def stepwise_reverse(word: PathWord) -> PathWord:
         steps.append(word.steps[i].flipped())
         verts.append(word.vertices[i])
     return PathWord(tuple(steps), tuple(verts))
+
+
+def laplace_det(rows) -> Fraction:
+    """Determinant by cofactor expansion along the first row.
+
+    Factorial in the dimension, and independent of the Gauss-Jordan
+    elimination that decides singularity in `RationalMatrixCtx`.
+    """
+    n = len(rows)
+    if n == 1:
+        return Fraction(rows[0][0])
+    det = Fraction(0)
+    for j in range(n):
+        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
+        term = rows[0][j] * laplace_det(minor)
+        det += term if j % 2 == 0 else -term
+    return det

@@ -284,6 +284,13 @@ class TestRoundtripCommand:
         assert code == 0
         assert json.loads(out)["format"] == 1
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_instances_rejected(self, count, capsys):
+        code, out = run(["roundtrip", "--instances", count])
+        assert code == 1
+        assert out == ""
+        assert "--instances" in capsys.readouterr().err
+
 
 class TestNumericCommand:
     def test_numeric_battery(self):
@@ -294,3 +301,10 @@ class TestNumericCommand:
         doc = json.loads(out)
         names = {c["name"] for c in doc["checks"]}
         assert {"numeric/winding-encloses", "numeric/winding-outside", "numeric/retrace-invariance", "numeric/bump"} <= names
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_trials_rejected(self, count, capsys):
+        code, out = run(["numeric-check", "--trials", count])
+        assert code == 1
+        assert out == ""
+        assert "--trials" in capsys.readouterr().err

@@ -72,6 +72,11 @@ class TestBuildTree:
         with pytest.raises(NotConnected):
             build_tree(cx)
 
+    def test_disconnected_radial_paths_raises(self):
+        cx = BaseComplex(("v0", "v1", "v2"), (Edge("a", "v0", "v1"),), "v0")
+        with pytest.raises(NotConnected):
+            radial_paths(cx, "v1")
+
     def test_deterministic(self, theta):
         trees = [build_tree(theta) for _ in range(5)]
         assert all(t == trees[0] for t in trees)

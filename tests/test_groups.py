@@ -18,6 +18,8 @@ from pathgauge.groups import (
 )
 from pathgauge.words import loop_inv, loop_mul, reduce_word
 
+from .oracles import laplace_det
+
 
 def random_matrix(rng):
     ctx = RationalMatrixCtx(2)
@@ -146,6 +148,39 @@ class TestDomains:
     def test_bad_group_spec(self):
         with pytest.raises(ParseError):
             ctx_from_spec({"type": "dihedral", "order": 8})
+        # sizes are never coerced from floats, bools or strings
+        for spec, field in [
+            ({"type": "cyclic", "order": 2.9}, "order"),
+            ({"type": "cyclic", "order": "5"}, "order"),
+            ({"type": "cyclic"}, "order"),
+            ({"type": "permutation", "degree": True}, "degree"),
+            ({"type": "rational_matrix", "dim": "3"}, "dim"),
+        ]:
+            with pytest.raises(ParseError, match=f"'{field}'"):
+                ctx_from_spec(spec)
+
+    def test_singular_inverse_raises_domain_mismatch(self):
+        ctx = RationalMatrixCtx(2)
+        singular = tuple(tuple(Fraction(v) for v in row) for row in [[1, 2], [2, 4]])
+        with pytest.raises(DomainMismatch, match="singular"):
+            ctx.inv(singular)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_singular_exactly_when_det_zero(self, rows):
+        ctx = RationalMatrixCtx(len(rows))
+        if laplace_det(rows) == 0:
+            with pytest.raises(DomainMismatch):
+                ctx.matrix(rows)
+        else:
+            a = ctx.matrix(rows)
+            assert ctx.mul(a, ctx.inv(a)) == ctx.identity()
 
 
 class TestClosure:

@@ -58,3 +58,24 @@ def test_module_imports_are_acyclic():
 def test_only_the_cli_imports_instances():
     importers = {name for name, tree in MODULES.items() if "instances" in _relative_imports(tree)}
     assert importers <= {"cli"}
+
+
+def _memo_caches(tree: ast.Module) -> list[int]:
+    """Lines that import functools' caches or decorate with one."""
+    caches = {"lru_cache", "cache"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name in caches]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in caches:
+                    lines.append(dec.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_memo_caches(module):
+    assert _memo_caches(MODULES[module]) == []
