@@ -18,7 +18,7 @@ from . import numeric
 from .complexes import build_tree, chord_loops
 from .errors import ConjugacyViolated, NotClosed, ParseError, PathGaugeError
 from .fileio import canonical_json, dump_gauge, parse_complex, parse_gauge, parse_holospec
-from .gauge import BundlePoint, check_bundle_morphism, holonomy_group, holonomy_rep
+from .gauge import BundlePoint, check_bundle_morphism, chord_holonomies, holonomy_group, holonomy_rep
 from .instances import random_hol_object
 from .reconstruct import (
     Report,
@@ -73,8 +73,9 @@ def cmd_holonomy(args, out) -> int:
     rows = []
     if args.all_chords:
         tree = build_tree(cx)
-        for chord, loop in sorted(chord_loops(cx, tree).items()):
-            rows.append((loop.literal(), field.ctx.to_literal(holonomy_rep(field, xi0, loop))))
+        holonomies = chord_holonomies(field, xi0, tree)
+        for chord, loop in chord_loops(cx, tree).items():
+            rows.append((loop.literal(), field.ctx.to_literal(holonomies[chord])))
         group = holonomy_group(field, xi0, tree)
         if isinstance(group, frozenset):
             members = sorted(field.ctx.to_literal(g) for g in group)

@@ -8,6 +8,7 @@ the tree (chords) generate every based loop.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -27,12 +28,15 @@ class Edge:
 
 @dataclass(frozen=True)
 class BaseComplex:
-    """Pointed directed multigraph with lexicographically ordered ids."""
+    """Pointed directed multigraph with lexicographically ordered ids, built
+    with its vertex set and each vertex's incident steps indexed."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     basepoint: str
     _by_id: dict[str, Edge] = field(init=False, repr=False, compare=False, hash=False)
+    _vertex_set: frozenset[str] = field(init=False, repr=False, compare=False, hash=False)
+    _steps_at: dict[str, list[EdgeStep]] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
@@ -42,6 +46,7 @@ class BaseComplex:
         object.__setattr__(self, "vertices", tuple(sorted(vset)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
         by_id: dict[str, Edge] = {}
+        steps_at: dict[str, list[EdgeStep]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.id in by_id:
                 raise ParseError(f"duplicate edge id {e.id!r}")
@@ -52,9 +57,14 @@ class BaseComplex:
             if e.dst not in vset:
                 raise ParseError(f"edge {e.id!r} has unknown target vertex {e.dst!r}")
             by_id[e.id] = e
+            # edges are in id order, so each vertex's steps are in (edge id, forward first) order
+            steps_at[e.src].append(EdgeStep(e.id, True))
+            steps_at[e.dst].append(EdgeStep(e.id, False))
         if self.basepoint not in vset:
             raise ParseError(f"basepoint {self.basepoint!r} is not a vertex")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_vertex_set", frozenset(vset))
+        object.__setattr__(self, "_steps_at", steps_at)
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -64,6 +74,9 @@ class BaseComplex:
 
     def has_edge(self, edge_id: str) -> bool:
         return edge_id in self._by_id
+
+    def has_vertex(self, vertex: str) -> bool:
+        return vertex in self._vertex_set
 
     def step_tail(self, step: EdgeStep) -> str:
         e = self.edge(step.edge)
@@ -75,14 +88,7 @@ class BaseComplex:
 
     def out_steps(self, vertex: str) -> list[EdgeStep]:
         """All steps leaving `vertex`, ordered by (edge id, forward first)."""
-        out = []
-        for e in self.edges:
-            if e.src == vertex:
-                out.append(EdgeStep(e.id, True))
-            if e.dst == vertex:
-                out.append(EdgeStep(e.id, False))
-        out.sort(key=lambda s: (s.edge, not s.forward))
-        return out
+        return list(self._steps_at.get(vertex, ()))
 
     def word(self, steps, at: str | None = None) -> PathWord:
         """Build a word from steps, checking incidence; `at` anchors the empty word."""
@@ -90,7 +96,7 @@ class BaseComplex:
         if not steps:
             if at is None:
                 raise EndpointMismatch("empty word needs an anchor vertex")
-            if at not in set(self.vertices):
+            if not self.has_vertex(at):
                 raise ParseError(f"unknown vertex {at!r}")
             return empty_word(at)
         verts = [self.step_tail(steps[0])]
@@ -115,12 +121,11 @@ class BaseComplex:
         seen = {self.basepoint}
         stack = [self.basepoint]
         while stack:
-            v = stack.pop()
-            for e in self.edges:
-                for other in ((e.dst,) if e.src == v else ()) + ((e.src,) if e.dst == v else ()):
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
+            for step in self._steps_at[stack.pop()]:
+                other = self.step_head(step)
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
         return len(seen) == len(self.vertices)
 
 
@@ -129,7 +134,8 @@ class SpanningTree:
     """A spanning tree with parent steps pointing toward the basepoint.
 
     `parent[v]` is the step that moves from v one tree edge closer to the
-    basepoint; following parents from any vertex reaches the basepoint.
+    basepoint; following parents from any vertex reaches the basepoint.  The
+    dict is filled in visit order, so parents come first.
     """
 
     complex: BaseComplex
@@ -145,36 +151,34 @@ def build_tree(cx: BaseComplex) -> SpanningTree:
 
     Repeatedly attach the frontier edge minimizing (new vertex id, edge id);
     self-loops never enter the tree.  Identical inputs give identical trees.
+    The frontier is a heap of such keys, each edge pushed at most once (keys
+    never tie) and skipped once its new vertex is attached: O(E log E).
     """
     visited = {cx.basepoint}
-    tree: set[str] = set()
     parent: dict[str, EdgeStep] = {}
-    while len(visited) < len(cx.vertices):
-        best = None
-        for e in cx.edges:
-            if e.src == e.dst:
-                continue
-            if e.src in visited and e.dst not in visited:
-                cand = (e.dst, e.id, EdgeStep(e.id, False))  # step dst -> src, toward tree
-            elif e.dst in visited and e.src not in visited:
-                cand = (e.src, e.id, EdgeStep(e.id, True))
-            else:
-                continue
-            if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-                best = cand
-        if best is None:
+    frontier: list[tuple[str, str, EdgeStep]] = []
+    vertex = cx.basepoint
+    while True:
+        for step in cx._steps_at[vertex]:
+            w = cx.step_head(step)
+            if w not in visited:
+                heapq.heappush(frontier, (w, step.edge, step.flipped()))  # step w -> tree
+        if len(visited) == len(cx.vertices):
+            break
+        while frontier and frontier[0][0] in visited:
+            heapq.heappop(frontier)
+        if not frontier:
             raise NotConnected("complex is not connected")
-        new_vertex, _, step = best
-        visited.add(new_vertex)
-        tree.add(step.edge)
-        parent[new_vertex] = step
-    return SpanningTree(cx, frozenset(tree), parent)
+        vertex, _, step = heapq.heappop(frontier)
+        visited.add(vertex)
+        parent[vertex] = step
+    return SpanningTree(cx, frozenset(s.edge for s in parent.values()), parent)
 
 
 def tree_path(tree: SpanningTree, vertex: str) -> PathWord:
     """Reduced word from the basepoint to `vertex` using only tree edges."""
     cx = tree.complex
-    if vertex not in set(cx.vertices):
+    if not cx.has_vertex(vertex):
         raise ParseError(f"unknown vertex {vertex!r}")
     return _parent_chain_word(cx, tree.parent, cx.basepoint, vertex)
 
@@ -214,7 +218,7 @@ def radial_paths(cx: BaseComplex, origin: str) -> dict[str, PathWord]:
     Layered breadth-first search with lexicographic (vertex id, edge id)
     tie-breaking, so the family is deterministic.
     """
-    if origin not in set(cx.vertices):
+    if not cx.has_vertex(origin):
         raise ParseError(f"unknown vertex {origin!r}")
     parent: dict[str, EdgeStep] = {}
     seen = {origin}
@@ -222,7 +226,7 @@ def radial_paths(cx: BaseComplex, origin: str) -> dict[str, PathWord]:
     while frontier:
         candidates = []
         for v in frontier:
-            for step in cx.out_steps(v):
+            for step in cx._steps_at[v]:
                 w = cx.step_head(step)
                 if w not in seen:
                     candidates.append((w, step.edge, step))
@@ -322,9 +326,8 @@ def map_word(f, dst: BaseComplex, word: PathWord) -> PathWord:
 
 def check_graph_map(f, src: BaseComplex, dst: BaseComplex) -> None:
     """Raise NonEquivariantSpec unless f is a pointed, incidence-preserving map."""
-    dst_vertices = set(dst.vertices)
     for v in src.vertices:
-        if f.vertex_map.get(v) not in dst_vertices:
+        if not dst.has_vertex(f.vertex_map.get(v)):
             raise NonEquivariantSpec(f"vertex {v!r} has no valid image")
     for e in src.edges:
         if e.id not in f.edge_map or not dst.has_edge(f.edge_map[e.id]):

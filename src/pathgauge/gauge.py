@@ -17,11 +17,9 @@ from .complexes import (
     SpanningTree,
     build_tree,
     check_graph_map,
-    chord_loops,
     compose_graph_maps,
     identity_graph_map,
     map_word,
-    tree_path,
 )
 from .errors import BaseMismatch, DomainMismatch, IndexOutOfRange, NonEquivariantSpec, ParseError, UnknownEdge
 from .groups import GroupCtx, GroupElement, subgroup_closure
@@ -81,8 +79,29 @@ def transport(field: GaugeField, word: PathWord) -> GroupElement:
 
 
 def tree_transports(field: GaugeField, tree: SpanningTree) -> dict[str, GroupElement]:
-    """T(v): transport along the tree path from the basepoint to each vertex."""
-    return {v: transport(field, tree_path(tree, v)) for v in field.complex.vertices}
+    """T(v): transport along the tree path from the basepoint to each vertex,
+    as U(step into v) * T(parent) in one pass over `tree.parent`."""
+    ctx, cx = field.ctx, field.complex
+    t = {cx.basepoint: ctx.identity()}
+    for v, step in tree.parent.items():
+        t[v] = ctx.mul(field.step_transport(step.flipped()), t[cx.step_head(step)])
+    return {v: t[v] for v in cx.vertices}
+
+
+def chord_holonomies(field: GaugeField, xi0: BundlePoint, tree: SpanningTree) -> dict[str, GroupElement]:
+    """Holonomy at xi0 of each chord loop, chords in id order, in O(V+E) group
+    operations: transport ignores free reduction, so the loop of chord e gives
+    a^-1 * T(dst)^-1 * U(e) * T(src) * a, with a the marked fiber."""
+    cx, ctx = field.complex, field.ctx
+    if xi0.base != cx.basepoint:
+        raise BaseMismatch(f"chord loops are based at {cx.basepoint!r}, got {xi0.base!r}")
+    a_inv = ctx.inv(ctx.check(xi0.fiber))
+    t = tree_transports(field, tree)
+    out = {}
+    for e in map(cx.edge, tree.chords()):
+        around = ctx.mul(ctx.inv(t[e.dst]), ctx.mul(field.labels[e.id], t[e.src]))
+        out[e.id] = ctx.conjugate(a_inv, around)
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,22 +173,20 @@ def holonomy_group(field: GaugeField, xi0: BundlePoint, tree: SpanningTree | Non
     group of holonomies.  Returns the closed set for finite contexts and the
     generator list for infinite ones.
     """
-    cx = field.complex
-    if xi0.base != cx.basepoint:
-        raise BaseMismatch(f"holonomy group is based at {cx.basepoint!r}, got {xi0.base!r}")
     if tree is None:
-        tree = build_tree(cx)
-    gens = [holonomy_rep(field, xi0, loop) for _, loop in sorted(chord_loops(cx, tree).items())]
+        tree = build_tree(field.complex)
+    gens = list(chord_holonomies(field, xi0, tree).values())
     if field.ctx.is_finite:
         return subgroup_closure(field.ctx, gens)
     return gens
 
 
 def act_fibers(ctx: GroupCtx, path: EPath, rho: tuple[GroupElement, ...]) -> EPath:
-    """Pointwise right action of a fiber-valued sequence on a lift."""
+    """Pointwise right action of a fiber-valued sequence on a lift; each
+    factor of `rho` is checked for membership."""
     if len(rho) != len(path.fibers):
         raise ValueError(f"need {len(path.fibers)} fiber factors, got {len(rho)}")
-    return EPath(path.word, tuple(ctx.mul(f, r) for f, r in zip(path.fibers, rho)))
+    return EPath(path.word, tuple(ctx.mul(f, ctx.check(r)) for f, r in zip(path.fibers, rho)))
 
 
 def epath_along_walk(path: EPath, walk: Walk) -> EPath:
@@ -203,6 +220,7 @@ def identity_bundle_map(cx: BaseComplex, ctx: GroupCtx) -> BundleMap:
 
 
 def compose_bundle_maps(ctx: GroupCtx, second: BundleMap, first: BundleMap) -> BundleMap:
+    """`second` after `first`; both must be maps `check_bundle_morphism` accepted."""
     return BundleMap(
         *compose_graph_maps(second, first),
         {
@@ -213,12 +231,14 @@ def compose_bundle_maps(ctx: GroupCtx, second: BundleMap, first: BundleMap) -> B
 
 
 def bundle_morphism_apply(F: BundleMap, ctx: GroupCtx, xi: BundlePoint) -> BundlePoint:
+    """Image of a bundle point; its fiber is checked for membership."""
     if xi.base not in F.vertex_map:
         raise NonEquivariantSpec(f"morphism not defined at vertex {xi.base!r}")
-    return BundlePoint(F.vertex_map[xi.base], ctx.mul(F.fiber_adjust[xi.base], xi.fiber))
+    return BundlePoint(F.vertex_map[xi.base], ctx.mul(F.fiber_adjust[xi.base], ctx.check(xi.fiber)))
 
 
 def bundle_morphism_on_epath(F: BundleMap, ctx: GroupCtx, dst_cx: BaseComplex, path: EPath) -> EPath:
+    """Image of a lift under a map `check_bundle_morphism` accepted."""
     word = map_word(F, dst_cx, path.word)
     fibers = tuple(
         ctx.mul(F.fiber_adjust[path.word.vertex_at(i)], f) for i, f in enumerate(path.fibers)

@@ -27,8 +27,9 @@ class GroupCtx:
     `check` is the one membership test, and it runs where an element enters
     the library: `from_literal`, `RationalMatrixCtx.matrix`, the gauge field
     and holonomy spec constructors, marked points, conjugators, morphism
-    adjusters and closure generators.  `mul`, `inv` and `to_literal` assume
-    members and only compute.
+    adjusters, closure generators, the fiber factors of `act_fibers` and the
+    points given to `bundle_morphism_apply`.  `mul`, `inv` and `to_literal`
+    assume members and only compute.
     """
 
     kind: str = ""
@@ -290,7 +291,7 @@ def subgroup_closure(ctx: GroupCtx, gens: Iterable[GroupElement]) -> frozenset:
     if not ctx.is_finite:
         raise InfiniteContext(f"cannot enumerate a subgroup of a {ctx.kind} context")
     gens = [ctx.check(g) for g in gens]
-    seed = gens + [ctx.inv(g) for g in gens]
+    seed = list(dict.fromkeys(gens + [ctx.inv(g) for g in gens]))
     closure = {ctx.identity()}
     frontier = [ctx.identity()]
     while frontier:

@@ -43,6 +43,7 @@ from .gauge import (
     EPath,
     GaugeField,
     check_bundle_morphism,
+    chord_holonomies,
     holonomy_rep,
     horizontal_lift,
     transport,
@@ -121,8 +122,7 @@ def bundle_from_holonomy(obj: HolObject) -> BCObject:
 
 def holonomy_of_bundle(bc: BCObject) -> HolObject:
     """Measure the holonomy representation of a bundle on its chord loops."""
-    loops = chord_loops(bc.complex, bc.tree)
-    assignment = {chord: holonomy_rep(bc.gauge, bc.xi0, loop) for chord, loop in loops.items()}
+    assignment = chord_holonomies(bc.gauge, bc.xi0, bc.tree)
     return HolObject(HoloSpec(bc.complex, bc.tree, bc.ctx, assignment))
 
 

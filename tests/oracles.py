@@ -2,7 +2,8 @@
 
 Each oracle is deliberately naive: exhaustive rewriting instead of a stack
 pass, brute-force orbit enumeration instead of canonical forms, literal
-search over all fiber-adjustment maps instead of tree propagation.  They
+search over all fiber-adjustment maps instead of tree propagation, full edge
+scans instead of an incidence index and a heap frontier.  They
 share no code path with what they verify.
 """
 
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from pathgauge.words import PathWord
+from pathgauge.complexes import BaseComplex, SpanningTree
+from pathgauge.errors import NotConnected
+from pathgauge.words import EdgeStep, PathWord
 
 
 def rewrite_closure_normal_forms(word: PathWord) -> set[PathWord]:
@@ -73,3 +76,49 @@ def laplace_det(rows) -> Fraction:
         term = rows[0][j] * laplace_det(minor)
         det += term if j % 2 == 0 else -term
     return det
+
+
+def scan_out_steps(cx: BaseComplex, vertex: str) -> list[EdgeStep]:
+    """All steps leaving `vertex`, ordered by (edge id, forward first).
+
+    Scans every edge and sorts, independent of the incidence index.
+    """
+    out = []
+    for e in cx.edges:
+        if e.src == vertex:
+            out.append(EdgeStep(e.id, True))
+        if e.dst == vertex:
+            out.append(EdgeStep(e.id, False))
+    out.sort(key=lambda s: (s.edge, not s.forward))
+    return out
+
+
+def scan_build_tree(cx: BaseComplex) -> SpanningTree:
+    """The spanning tree `build_tree` must return, by an O(V*E) frontier scan.
+
+    Repeatedly attach the frontier edge minimizing (new vertex id, edge id);
+    self-loops never enter the tree.
+    """
+    visited = {cx.basepoint}
+    tree: set[str] = set()
+    parent: dict[str, EdgeStep] = {}
+    while len(visited) < len(cx.vertices):
+        best = None
+        for e in cx.edges:
+            if e.src == e.dst:
+                continue
+            if e.src in visited and e.dst not in visited:
+                cand = (e.dst, e.id, EdgeStep(e.id, False))  # step dst -> src, toward tree
+            elif e.dst in visited and e.src not in visited:
+                cand = (e.src, e.id, EdgeStep(e.id, True))
+            else:
+                continue
+            if best is None or (cand[0], cand[1]) < (best[0], best[1]):
+                best = cand
+        if best is None:
+            raise NotConnected("complex is not connected")
+        new_vertex, _, step = best
+        visited.add(new_vertex)
+        tree.add(step.edge)
+        parent[new_vertex] = step
+    return SpanningTree(cx, frozenset(tree), parent)

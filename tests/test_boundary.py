@@ -15,9 +15,13 @@ from pathgauge.gauge import (
     BundleMap,
     BundlePoint,
     GaugeField,
+    act_fibers,
+    bundle_morphism_apply,
     check_bundle_morphism,
+    chord_holonomies,
     holonomy_rep,
     horizontal_lift,
+    identity_bundle_map,
 )
 from pathgauge.groups import HoloSpec, PermutationCtx, RationalMatrixCtx, subgroup_closure
 from pathgauge.instances import theta_complex
@@ -58,6 +62,10 @@ def _holonomy_rep(cx, ctx, bad):
     holonomy_rep(_identity_field(cx, ctx), BundlePoint("v0", bad), cx.word_from_literal("b,~a"))
 
 
+def _chord_holonomies(cx, ctx, bad):
+    chord_holonomies(_identity_field(cx, ctx), BundlePoint("v0", bad), build_tree(cx))
+
+
 def _conjugation_iso(cx, ctx, bad):
     bc = bc_object(_identity_field(cx, ctx))
     conjugation_iso(bc, bc, bad)
@@ -67,6 +75,16 @@ def _check_bundle_morphism(cx, ctx, bad):
     field = _identity_field(cx, ctx)
     adjust = {"v0": ctx.identity(), "v1": bad}
     check_bundle_morphism(BundleMap(*identity_graph_map(cx), adjust), field, field)
+
+
+def _act_fibers(cx, ctx, bad):
+    start = BundlePoint("v0", ctx.identity())
+    lift = horizontal_lift(_identity_field(cx, ctx), cx.word_from_literal("a"), 0, start)
+    act_fibers(ctx, lift, (ctx.identity(), bad))
+
+
+def _bundle_morphism_apply(cx, ctx, bad):
+    bundle_morphism_apply(identity_bundle_map(cx, ctx), ctx, BundlePoint("v1", bad))
 
 
 def _subgroup_closure(cx, ctx, bad):
@@ -84,9 +102,12 @@ SITES = [
     (_bc_object, DomainMismatch, None),
     (_horizontal_lift, DomainMismatch, None),
     (_holonomy_rep, DomainMismatch, None),
+    (_chord_holonomies, DomainMismatch, None),
     (_conjugation_iso, DomainMismatch, None),
     (_subgroup_closure, DomainMismatch, None),
     (_check_bundle_morphism, NonEquivariantSpec, "'v1'"),
+    (_act_fibers, DomainMismatch, None),
+    (_bundle_morphism_apply, DomainMismatch, None),
 ]
 
 
