@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .errors import BaseMismatch, DomainMismatch, InfiniteContext, ParseError, UnknownEdge
 from .words import PathWord
@@ -28,8 +28,8 @@ class GroupCtx:
     the library: `from_literal`, `RationalMatrixCtx.matrix`, the gauge field
     and holonomy spec constructors, marked points, conjugators, morphism
     adjusters, closure generators, the fiber factors of `act_fibers` and the
-    points given to `bundle_morphism_apply`.  `mul`, `inv` and `to_literal`
-    assume members and only compute.
+    points given to `bundle_morphism_apply`.  `mul`, `inv`, `to_literal` and
+    `conjugator` assume members and only compute.
     """
 
     kind: str = ""
@@ -50,6 +50,13 @@ class GroupCtx:
     def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g h g^-1."""
         return self.mul(self.mul(g, h), self.inv(g))
+
+    def conjugator(
+        self, xs: Sequence[GroupElement], ys: Sequence[GroupElement]
+    ) -> GroupElement | None:
+        """The least g in `elements()` order with g y g^-1 = x for every pair
+        (x, y) of `xs` and `ys`, or None; members are assumed."""
+        raise InfiniteContext("conjugator search requires a finite context")
 
     @property
     def is_finite(self) -> bool:
@@ -95,6 +102,11 @@ class CyclicCtx(GroupCtx):
 
     def inv(self, a):
         return (-self.check(a)) % self.order
+
+    def conjugator(self, xs, ys):
+        # Abelian: conjugation fixes everything, so only equality counts.
+        pairs = list(zip(xs, ys, strict=True))
+        return 0 if all(x == y for x, y in pairs) else None
 
     @property
     def is_finite(self):
@@ -159,6 +171,60 @@ class PermutationCtx(GroupCtx):
         for i, v in enumerate(a):
             out[v] = i
         return tuple(out)
+
+    def conjugator(self, xs, ys):
+        """Simultaneous conjugacy as an isomorphism of edge-coloured
+        functional graphs, in O(degree^2 * len(xs)).
+
+        g y g^-1 = x reads g(y(i)) = x(g(i)), so pinning g at one point fixes
+        it on that point's orbit under the ys.  The smallest unassigned point
+        p tries its untaken images q in increasing order; each is propagated
+        through the orbit and rejected on a conflict or when two points meet
+        one image.  A consistent orbit map is an isomorphism onto the whole
+        orbit of q under the xs, which is disjoint from the images already
+        taken, and any solution can be changed to agree with it, so
+        committing the first one never loses a solution.  Images are tried
+        smallest first, so the result is the lexicographically least
+        conjugator, which is the first in `elements()` order (Seress,
+        Permutation Group Algorithms, 2003, ch. 3).
+        """
+        pairs = list(zip(xs, ys, strict=True))
+        g: list[int | None] = [None] * self.degree
+        taken = [False] * self.degree
+
+        def pin(p: int, q: int) -> dict[int, int] | None:
+            image = {p: q}
+            new = {q}
+            stack = [p]
+            while stack:
+                i = stack.pop()
+                j = image[i]
+                for x, y in pairs:
+                    a, b = y[i], x[j]
+                    if a in image:
+                        if image[a] != b:
+                            return None
+                    elif b in new:
+                        return None
+                    else:
+                        image[a] = b
+                        new.add(b)
+                        stack.append(a)
+            return image
+
+        for p in range(self.degree):
+            if g[p] is not None:
+                continue
+            for q in range(self.degree):
+                orbit = None if taken[q] else pin(p, q)
+                if orbit is not None:
+                    break
+            else:
+                return None
+            for i, j in orbit.items():
+                g[i] = j
+                taken[j] = True
+        return tuple(g)
 
     @property
     def is_finite(self):
@@ -287,22 +353,37 @@ def ctx_from_spec(spec: dict) -> GroupCtx:
 
 
 def subgroup_closure(ctx: GroupCtx, gens: Iterable[GroupElement]) -> frozenset:
-    """The subgroup generated by `gens`, as an explicit set (finite contexts)."""
+    """The subgroup generated by `gens`, as an explicit set (finite contexts).
+
+    Grown one generator at a time, skipping generators already inside.  The
+    closure so far is closed under the earlier generators, so only its
+    products with the new one and the products of new elements with every
+    generator can leave it.  In a finite group that right-multiplication
+    closure is already the subgroup, so inverses are not needed, and the
+    work is about |H| times the number of generators that enlarge it.
+    """
     if not ctx.is_finite:
         raise InfiniteContext(f"cannot enumerate a subgroup of a {ctx.kind} context")
     gens = [ctx.check(g) for g in gens]
-    seed = list(dict.fromkeys(gens + [ctx.inv(g) for g in gens]))
     closure = {ctx.identity()}
-    frontier = [ctx.identity()]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in seed:
-                b = ctx.mul(a, g)
+    useful: list[GroupElement] = []
+    for g in gens:
+        if g in closure:
+            continue
+        useful.append(g)
+        frontier = []
+        for a in list(closure):
+            b = ctx.mul(a, g)
+            if b not in closure:
+                closure.add(b)
+                frontier.append(b)
+        while frontier:
+            a = frontier.pop()
+            for h in useful:
+                b = ctx.mul(a, h)
                 if b not in closure:
                     closure.add(b)
-                    nxt.append(b)
-        frontier = nxt
+                    frontier.append(b)
     return frozenset(closure)
 
 

@@ -7,8 +7,12 @@ the basepoint with identity fiber.  `holonomy_of_bundle` goes the other way
 by measuring chord-loop holonomies.  One round trip is literally the
 identity; the other is witnessed by an explicit fiber-adjusting isomorphism
 (`reconstruct_iso`).  Bundles whose holonomies agree up to conjugation are
-isomorphic (`conjugation_iso`), and for finite groups non-conjugacy is
-decidable, in which case no gauge morphism exists at all.
+isomorphic (`conjugation_iso`).  For finite groups classification reduces to
+simultaneous conjugacy of the chord holonomies, which `GroupCtx.conjugator`
+decides without enumerating the group: `find_conjugator` returns the
+lexicographically least conjugator, and when there is none no gauge morphism
+exists at all (`gauge_morphism_exists` asks the same question of the
+holonomies at the identity fiber).
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .errors import (
     BaseMismatch,
     ConjugacyViolated,
     HolonomyIncompatible,
-    InfiniteContext,
     NonEquivariantSpec,
 )
 from .gauge import (
@@ -204,42 +207,37 @@ def conjugation_iso(bc: BCObject, other: BCObject, g: GroupElement) -> BundleMap
 
 
 def find_conjugator(bc: BCObject, other: BCObject) -> GroupElement | None:
-    """Search the whole (finite) group for an element realizing conjugacy."""
+    """The least g, in `ctx.elements()` order, with H(c) = g H'(c) g^-1 on
+    every chord c, or None when the holonomies are not conjugate.
+
+    H and H' are the chord holonomies of the two bundles at their marked
+    points; `ctx.conjugator` solves the simultaneous conjugacy without
+    enumerating the group (O(n^2 k) for k chords in degree n, equality for
+    cyclic groups).  Infinite contexts raise InfiniteContext.
+    """
     _require_comparable(bc, other)
-    if not bc.ctx.is_finite:
-        raise InfiniteContext("conjugator search requires a finite context")
     H = holonomy_of_bundle(bc).spec.assignment
     H2 = holonomy_of_bundle(other).spec.assignment
-    ctx = bc.ctx
-    for g in ctx.elements():
-        if all(H[c] == ctx.conjugate(g, H2[c]) for c in H):
-            return g
-    return None
+    return bc.ctx.conjugator([H[c] for c in H], [H2[c] for c in H])
 
 
 def gauge_morphism_exists(bc: BCObject, other: BCObject) -> bool:
-    """Decide existence of any fiber-adjusting morphism over the identity map.
+    """Decide whether any fiber-adjusting morphism over the identity map
+    sends `bc`'s field to `other`'s.
 
-    Any such morphism is pinned by its adjuster at the basepoint: tree edges
-    propagate it to every vertex, and the remaining edges are consistency
-    checks.  Trying every basepoint adjuster is therefore a complete search.
+    Such a morphism is pinned by its adjuster s at the basepoint: along the
+    tree of `bc` it must be T2(v) s T1(v)^-1, with Ti the tree transports, so
+    every tree edge holds and each chord e reads s h1(e) s^-1 = h2(e), where
+    hi(e) = Ti(dst)^-1 Ui(e) Ti(src) is the chord holonomy at the identity
+    fiber.  A morphism exists exactly when the h1 are simultaneously
+    conjugate to the h2, which `ctx.conjugator` decides without enumerating
+    the group.  Infinite contexts raise InfiniteContext.
     """
     _require_comparable(bc, other)
-    if not bc.ctx.is_finite:
-        raise InfiniteContext("morphism search requires a finite context")
-    ctx = bc.ctx
-    t1_inv = {v: ctx.inv(t) for v, t in tree_transports(bc.gauge, bc.tree).items()}
-    t2 = tree_transports(other.gauge, bc.tree)
-    for seed in ctx.elements():
-        adjust = {v: ctx.mul(t2[v], ctx.mul(seed, t1_inv[v])) for v in t2}
-        ok = all(
-            ctx.mul(adjust[e.dst], bc.gauge.labels[e.id])
-            == ctx.mul(other.gauge.labels[e.id], adjust[e.src])
-            for e in bc.complex.edges
-        )
-        if ok:
-            return True
-    return False
+    at_identity = BundlePoint(bc.complex.basepoint, bc.ctx.identity())
+    h1 = chord_holonomies(bc.gauge, at_identity, bc.tree)
+    h2 = chord_holonomies(other.gauge, at_identity, bc.tree)
+    return bc.ctx.conjugator(list(h2.values()), list(h1.values())) is not None
 
 
 @dataclass(frozen=True, eq=False)

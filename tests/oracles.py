@@ -3,8 +3,9 @@
 Each oracle is deliberately naive: exhaustive rewriting instead of a stack
 pass, brute-force orbit enumeration instead of canonical forms, literal
 search over all fiber-adjustment maps instead of tree propagation, full edge
-scans instead of an incidence index and a heap frontier.  They
-share no code path with what they verify.
+scans instead of an incidence index and a heap frontier, every group element
+instead of orbit propagation.  They share no code path with what they
+verify.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from pathgauge.complexes import BaseComplex, SpanningTree
 from pathgauge.errors import NotConnected
+from pathgauge.groups import GroupCtx
 from pathgauge.words import EdgeStep, PathWord
 
 
@@ -122,3 +124,56 @@ def scan_build_tree(cx: BaseComplex) -> SpanningTree:
         tree.add(step.edge)
         parent[new_vertex] = step
     return SpanningTree(cx, frozenset(tree), parent)
+
+
+def brute_force_conjugator(ctx: GroupCtx, xs, ys):
+    """The first element of `ctx.elements()` conjugating every y onto its x
+    (g y g^-1 = x), or None; |G| candidates."""
+    for g in ctx.elements():
+        if all(x == ctx.conjugate(g, y) for x, y in zip(xs, ys)):
+            return g
+    return None
+
+
+def adjuster_search_morphism_exists(bc, other) -> bool:
+    """Try every fiber adjuster at the basepoint.
+
+    A fiber-adjusting morphism k over the identity satisfies
+    k(dst) U1(e) = U2(e) k(src) on every edge, so k(basepoint) determines k
+    along a breadth-first search over the edges; then every edge is checked.
+    """
+    ctx, cx = bc.ctx, bc.complex
+    f1, f2 = bc.gauge.labels, other.gauge.labels
+    for seed in ctx.elements():
+        k = {cx.basepoint: seed}
+        grown = True
+        while grown:
+            grown = False
+            for e in cx.edges:
+                if e.src in k and e.dst not in k:
+                    k[e.dst] = ctx.mul(ctx.mul(f2[e.id], k[e.src]), ctx.inv(f1[e.id]))
+                    grown = True
+                elif e.dst in k and e.src not in k:
+                    k[e.src] = ctx.mul(ctx.mul(ctx.inv(f2[e.id]), k[e.dst]), f1[e.id])
+                    grown = True
+        if all(ctx.mul(k[e.dst], f1[e.id]) == ctx.mul(f2[e.id], k[e.src]) for e in cx.edges):
+            return True
+    return False
+
+
+def bfs_subgroup_closure(ctx: GroupCtx, gens) -> frozenset:
+    """The subgroup generated by `gens`: breadth-first search from the
+    identity, multiplying every element by every generator and inverse."""
+    seed = list(gens) + [ctx.inv(g) for g in gens]
+    closure = {ctx.identity()}
+    frontier = [ctx.identity()]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in seed:
+                b = ctx.mul(a, g)
+                if b not in closure:
+                    closure.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(closure)

@@ -18,7 +18,7 @@ from pathgauge.groups import (
 )
 from pathgauge.words import loop_inv, loop_mul, reduce_word
 
-from .oracles import laplace_det
+from .oracles import bfs_subgroup_closure, laplace_det
 
 
 def random_matrix(rng):
@@ -203,6 +203,18 @@ class TestClosure:
         ctx = RationalMatrixCtx(2)
         with pytest.raises(InfiniteContext):
             subgroup_closure(ctx, [ctx.identity()])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_breadth_first_closure(self, data):
+        ctx = data.draw(
+            st.sampled_from([CyclicCtx(7), CyclicCtx(12), PermutationCtx(3), PermutationCtx(5)])
+        )
+        gens = data.draw(st.lists(st.sampled_from(ctx.elements()), max_size=4))
+        if gens and data.draw(st.booleans()):
+            # a repeat and a product of earlier generators add nothing
+            gens += [gens[0], ctx.mul(gens[0], gens[-1])]
+        assert subgroup_closure(ctx, gens) == bfs_subgroup_closure(ctx, gens)
 
 
 class TestHoloSpec:
