@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .complexes import tree_path
 from .errors import BaseMismatch, EndpointMismatch, IndexOutOfRange
 from .groups import GroupCtx, GroupElement, HoloSpec
-from .words import PathWord, concat, empty_word, reduce_word, reverse_word, subword, word_along_walk
+from .words import PathWord, concat, reduce_word, reverse_word, subword, word_along_walk
 
 Walk = tuple[int, ...] | list[int]
 
@@ -43,10 +43,6 @@ class FPoint:
 
 def fpoint(word: PathWord) -> FPoint:
     return FPoint(reduce_word(word))
-
-
-def basepoint_fpoint(basepoint: str) -> FPoint:
-    return FPoint(empty_word(basepoint))
 
 
 def omega_action(p: FPoint, gamma: PathWord) -> FPoint:

@@ -160,10 +160,6 @@ class ReconstructionIso:
     def forward_path(self, path: AssocPath) -> EPath:
         return EPath(path.word, tuple(self.forward(p).fiber for p in path.points))
 
-    def as_bundle_map(self) -> BundleMap:
-        """The same isomorphism as a fiber-adjusting morphism over the identity."""
-        return BundleMap(*identity_graph_map(self.bc.complex), dict(self.adjust))
-
 
 def reconstruct_iso(bc: BCObject) -> ReconstructionIso:
     obj = holonomy_of_bundle(bc)
@@ -174,22 +170,26 @@ def reconstruct_iso(bc: BCObject) -> ReconstructionIso:
     return ReconstructionIso(bc, obj.spec, adjust)
 
 
-def _require_comparable(bc: BCObject, other: BCObject) -> None:
+def _on_tree_of(bc: BCObject, other: BCObject) -> BCObject:
+    """`other` on `bc`'s spanning tree, once both live over one complex with
+    one group.  Chord loops of any tree generate the based loops, so the
+    tree changes no conjugacy, and the two bundles' chords then match."""
     if bc.complex != other.complex:
         raise BaseMismatch("bundles live over different complexes")
     if bc.ctx != other.ctx:
         raise BaseMismatch("bundles have different structure groups")
+    return other if other.tree == bc.tree else BCObject(bc.tree, other.gauge, other.xi0)
 
 
 def conjugation_iso(bc: BCObject, other: BCObject, g: GroupElement) -> BundleMap:
     """Bundle isomorphism from the relation H(loop) = g * H'(loop) * g^-1.
 
-    Checks the relation on every chord loop and raises ConjugacyViolated at
-    the first failure; on success returns the fiber-adjusting map obtained by
-    pushing left multiplication by g^-1 through both reconstruction
-    isomorphisms.
+    Checks the relation on every chord loop of `bc`'s spanning tree, which
+    `other` is measured on too, and raises ConjugacyViolated at the first
+    failure; on success returns the fiber-adjusting map obtained by pushing
+    left multiplication by g^-1 through both reconstruction isomorphisms.
     """
-    _require_comparable(bc, other)
+    other = _on_tree_of(bc, other)
     ctx = bc.ctx
     ctx.check(g)
     iso = reconstruct_iso(bc)
@@ -211,11 +211,12 @@ def find_conjugator(bc: BCObject, other: BCObject) -> GroupElement | None:
     every chord c, or None when the holonomies are not conjugate.
 
     H and H' are the chord holonomies of the two bundles at their marked
-    points; `ctx.conjugator` solves the simultaneous conjugacy without
-    enumerating the group (O(n^2 k) for k chords in degree n, equality for
-    cyclic groups).  Infinite contexts raise InfiniteContext.
+    points, both on `bc`'s spanning tree; `ctx.conjugator` solves the
+    simultaneous conjugacy without enumerating the group (O(n^2 k) for k
+    chords in degree n, equality for cyclic groups).  Infinite contexts
+    raise InfiniteContext.
     """
-    _require_comparable(bc, other)
+    other = _on_tree_of(bc, other)
     H = holonomy_of_bundle(bc).spec.assignment
     H2 = holonomy_of_bundle(other).spec.assignment
     return bc.ctx.conjugator([H[c] for c in H], [H2[c] for c in H])
@@ -233,10 +234,10 @@ def gauge_morphism_exists(bc: BCObject, other: BCObject) -> bool:
     conjugate to the h2, which `ctx.conjugator` decides without enumerating
     the group.  Infinite contexts raise InfiniteContext.
     """
-    _require_comparable(bc, other)
+    other = _on_tree_of(bc, other)
     at_identity = BundlePoint(bc.complex.basepoint, bc.ctx.identity())
     h1 = chord_holonomies(bc.gauge, at_identity, bc.tree)
-    h2 = chord_holonomies(other.gauge, at_identity, bc.tree)
+    h2 = chord_holonomies(other.gauge, at_identity, other.tree)
     return bc.ctx.conjugator(list(h2.values()), list(h1.values())) is not None
 
 

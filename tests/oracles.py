@@ -4,8 +4,8 @@ Each oracle is deliberately naive: exhaustive rewriting instead of a stack
 pass, brute-force orbit enumeration instead of canonical forms, literal
 search over all fiber-adjustment maps instead of tree propagation, full edge
 scans instead of an incidence index and a heap frontier, every group element
-instead of orbit propagation.  They share no code path with what they
-verify.
+instead of orbit propagation, `Fraction` arithmetic instead of integer
+kernels.  They share no code path with what they verify.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from pathgauge.complexes import BaseComplex, SpanningTree
-from pathgauge.errors import NotConnected
+from pathgauge.errors import DomainMismatch, NotConnected
 from pathgauge.groups import GroupCtx
 from pathgauge.words import EdgeStep, PathWord
 
@@ -66,7 +66,7 @@ def stepwise_reverse(word: PathWord) -> PathWord:
 def laplace_det(rows) -> Fraction:
     """Determinant by cofactor expansion along the first row.
 
-    Factorial in the dimension, and independent of the Gauss-Jordan
+    Factorial in the dimension, and independent of the fraction-free
     elimination that decides singularity in `RationalMatrixCtx`.
     """
     n = len(rows)
@@ -78,6 +78,35 @@ def laplace_det(rows) -> Fraction:
         term = rows[0][j] * laplace_det(minor)
         det += term if j % 2 == 0 else -term
     return det
+
+
+def schoolbook_mul(a, b):
+    """Matrix product entry by entry, summing `Fraction` products; the
+    arithmetic `RationalMatrixCtx.mul` replaced with integer accumulation."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def gauss_jordan_inv(a):
+    """Inverse by Gauss-Jordan elimination over `Fraction`s with every pivot
+    row normalized; the arithmetic `RationalMatrixCtx.inv` replaced with
+    fraction-free elimination on integers."""
+    n = len(a)
+    aug = [list(a[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise DomainMismatch("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
 def scan_out_steps(cx: BaseComplex, vertex: str) -> list[EdgeStep]:

@@ -38,9 +38,7 @@ from pathgauge.gauge import (
     project_horizontal,
 )
 from pathgauge.instances import (
-    conjugate_bc_pair,
     monotone_walks,
-    nonconjugate_bc_pair,
     random_hol_object,
     theta_bc,
     theta_complex,
@@ -72,6 +70,7 @@ from pathgauge.reconstruct import (
 )
 from pathgauge.words import loop_id, reduce_word
 
+from .builders import conjugate_bc_pair, nonconjugate_bc_pair
 from .oracles import oracle_reduce
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pathgauge.complexes import build_tree, identity_graph_map
-from pathgauge.errors import DomainMismatch, NonEquivariantSpec, ParseError
+from pathgauge.errors import BaseMismatch, DomainMismatch, NonEquivariantSpec, ParseError, UnknownEdge
 from pathgauge.gauge import (
     BundleMap,
     BundlePoint,
@@ -24,8 +24,9 @@ from pathgauge.gauge import (
     identity_bundle_map,
 )
 from pathgauge.groups import HoloSpec, PermutationCtx, RationalMatrixCtx, subgroup_closure
-from pathgauge.instances import theta_complex
+from pathgauge.instances import theta_complex, theta_holospec
 from pathgauge.reconstruct import bc_object, conjugation_iso
+from pathgauge.words import EdgeStep, PathWord
 
 # context, non-member, and the non-member's literal
 NON_MEMBERS = {
@@ -125,3 +126,53 @@ def test_entry_point_rejects_non_member(site, error, match, kind):
     ctx, bad, _ = NON_MEMBERS[kind]
     with pytest.raises(error, match=match):
         site(theta_complex(), ctx, bad)
+
+
+def _fractions(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _fractions([[1, 2], [2, 4]]),  # singular
+        ((Fraction(1), 0), (Fraction(0), Fraction(1))),  # an int entry
+        ((Fraction(1), Fraction(0)), (Fraction(1),)),  # a ragged row
+    ],
+    ids=["singular", "int-entry", "ragged"],
+)
+def test_matrix_check_rejects(bad):
+    with pytest.raises(DomainMismatch):
+        RationalMatrixCtx(2).check(bad)
+
+
+def test_matrix_arithmetic_returns_tuples_of_fraction_rows():
+    ctx = RationalMatrixCtx(3)
+    a = ctx.matrix([["1/2", 0, 3], [0, "-2/3", 1], [5, 0, 1]])
+    for m in (ctx.mul(a, a), ctx.inv(a), ctx.identity()):
+        assert type(m) is tuple and len(m) == 3
+        assert all(type(row) is tuple and len(row) == 3 for row in m)
+        assert all(type(v) is Fraction for row in m for v in row)
+
+
+def test_matrix_literals_keep_their_bytes():
+    """The README's identity literal and products with it, inverses included."""
+    ctx = RationalMatrixCtx(2)
+    one = ctx.from_literal('[["1","0"],["0","1"]]')
+    a = ctx.from_literal('[["1/2","-3"],["2/7","5"]]')
+    b = ctx.from_literal('[["-4","1/3"],["0","6/5"]]')
+    assert ctx.to_literal(ctx.mul(one, one)) == '[["1", "0"], ["0", "1"]]'
+    assert ctx.to_literal(ctx.mul(a, b)) == '[["-2", "-103/30"], ["-8/7", "128/21"]]'
+    assert ctx.to_literal(ctx.inv(a)) == '[["70/47", "42/47"], ["-4/47", "7/47"]]'
+    product = ctx.mul(ctx.mul(a, one), ctx.inv(b))
+    assert ctx.to_literal(product) == '[["-1/8", "-355/144"], ["-1/14", "1055/252"]]'
+
+
+def test_holospec_eval_rejects_unknown_edges_and_unbased_loops():
+    spec = theta_holospec()
+    # a tree step, then an edge the complex does not have
+    stray = PathWord((EdgeStep("a", True), EdgeStep("z", True)), ("v0", "v1", "v0"))
+    with pytest.raises(UnknownEdge, match="'z'"):
+        spec.eval(stray)
+    with pytest.raises(BaseMismatch):
+        spec.eval(spec.complex.word_from_literal("~a,b"))

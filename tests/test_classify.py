@@ -15,19 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathgauge.complexes import BaseComplex, Edge, build_tree
+from pathgauge.complexes import BaseComplex, Edge, SpanningTree, build_tree
 from pathgauge.errors import InfiniteContext
-from pathgauge.gauge import BundlePoint, GaugeField
+from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
-from pathgauge.instances import random_connected_complex, random_element
+from pathgauge.instances import random_connected_complex, random_element, theta_bc
 from pathgauge.reconstruct import (
     bc_object,
     bundle_from_holonomy,
+    conjugation_iso,
     find_conjugator,
     gauge_morphism_exists,
     hol_object,
     holonomy_of_bundle,
 )
+from pathgauge.words import EdgeStep
 
 from .oracles import adjuster_search_morphism_exists, brute_force_conjugator
 
@@ -111,6 +113,49 @@ def test_classification_matches_the_brute_force_searches(seed):
     # A morphism re-marks the fiber, so marked bundles are conjugate exactly
     # when a morphism exists between their fields.
     assert (expected is not None) == exists
+
+
+def _theta_tree_b(cx):
+    """The theta complex's other spanning tree, {b} instead of {a}."""
+    return SpanningTree(cx, frozenset({"b"}), {"v1": EdgeStep("b", False)})
+
+
+def test_bundles_on_different_trees_are_compared_on_one_tree():
+    """The theta field against itself on the tree {b} used to raise a bare
+    KeyError: 'b' from `find_conjugator` and `conjugation_iso`."""
+    bc = theta_bc()
+    other = bc_object(bc.gauge, bc.xi0, _theta_tree_b(bc.complex))
+    assert other.tree != bc.tree
+    assert gauge_morphism_exists(bc, other)
+    for first, second in ((bc, other), (other, bc)):
+        assert find_conjugator(first, second) == 0
+        F = conjugation_iso(first, second, 0)
+        assert check_bundle_morphism(F, first.gauge, second.gauge)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classification_on_different_trees_matches_one_tree(seed):
+    """Permutation fields on theta, the second bundle on the tree {b}: the
+    answers are those for both bundles on the first bundle's tree."""
+    rng = random.Random(seed)
+    ctx = PermutationCtx(3 + seed % 2)
+    cx = theta_bc().complex
+    f1 = _random_field(rng, cx, ctx)
+    if seed % 2:
+        f2 = _gauge_transform(f1, {v: random_element(ctx, rng) for v in cx.vertices})
+    else:
+        f2 = _random_field(rng, cx, ctx)
+    bc1 = bc_object(f1, BundlePoint(cx.basepoint, random_element(ctx, rng)))
+    xi2 = BundlePoint(cx.basepoint, random_element(ctx, rng))
+    bc2, bc2_b = bc_object(f2, xi2), bc_object(f2, xi2, _theta_tree_b(cx))
+
+    g = find_conjugator(bc1, bc2_b)
+    assert g == find_conjugator(bc1, bc2)
+    assert (g is not None) == gauge_morphism_exists(bc1, bc2_b) == gauge_morphism_exists(bc1, bc2)
+    if g is not None:
+        F = conjugation_iso(bc1, bc2_b, g)
+        assert F.fiber_adjust == conjugation_iso(bc1, bc2, g).fiber_adjust
+        assert check_bundle_morphism(F, bc1.gauge, bc2_b.gauge)
 
 
 def _random_permutation(rng, degree):

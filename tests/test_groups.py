@@ -18,7 +18,7 @@ from pathgauge.groups import (
 )
 from pathgauge.words import loop_inv, loop_mul, reduce_word
 
-from .oracles import bfs_subgroup_closure, laplace_det
+from .oracles import bfs_subgroup_closure, gauss_jordan_inv, laplace_det, schoolbook_mul
 
 
 def random_matrix(rng):
@@ -181,6 +181,74 @@ class TestDomains:
         else:
             a = ctx.matrix(rows)
             assert ctx.mul(a, ctx.inv(a)) == ctx.identity()
+
+
+@st.composite
+def rational_matrices(draw, n):
+    """n x n matrices of three kinds: small random entries (often zero, so
+    pivots must be searched for), one row a rational multiple of another
+    (singular), and numerators near 10**12 over denominators near 10**9."""
+    kind = draw(st.sampled_from(["random", "singular", "large"]))
+    if kind == "large":
+        num = st.integers(10**11, 10**12) | st.integers(-(10**12), -(10**11))
+        entry = st.builds(Fraction, num, st.integers(10**8, 10**9))
+    else:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        q = draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+        rows[i] = [q * v for v in rows[j]]
+    return tuple(tuple(row) for row in rows)
+
+
+def _fraction_rows(m, n):
+    return (
+        type(m) is tuple
+        and len(m) == n
+        and all(type(r) is tuple and len(r) == n for r in m)
+        and all(type(v) is Fraction for r in m for v in r)
+    )
+
+
+class TestIntegerKernels:
+    """`RationalMatrixCtx` arithmetic on integers against the `Fraction`
+    schoolbook product and Gauss-Jordan inverse it replaced."""
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(rational_matrices(n), rational_matrices(n))))
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_schoolbook(self, pair):
+        a, b = pair
+        ctx = RationalMatrixCtx(len(a))
+        product = ctx.mul(a, b)
+        assert product == schoolbook_mul(a, b)
+        assert _fraction_rows(product, ctx.dim)
+
+    @given(st.integers(1, 6).flatmap(rational_matrices))
+    @settings(max_examples=300, deadline=None)
+    def test_inv_matches_gauss_jordan(self, a):
+        ctx = RationalMatrixCtx(len(a))
+        try:
+            expected = gauss_jordan_inv(a)
+        except DomainMismatch:
+            with pytest.raises(DomainMismatch, match="^matrix is singular$"):
+                ctx.inv(a)
+            with pytest.raises(DomainMismatch):
+                ctx.check(a)
+            return
+        inverse = ctx.inv(a)
+        assert inverse == expected
+        assert _fraction_rows(inverse, ctx.dim)
+        assert ctx.mul(inverse, a) == ctx.mul(a, inverse) == ctx.identity()
+        assert schoolbook_mul(inverse, a) == ctx.identity()
+        assert ctx.check(a) is a
+
+    def test_identity_is_built_once_and_kept_out_of_equality(self):
+        ctx = RationalMatrixCtx(3)
+        assert ctx.identity() is ctx.identity()
+        assert _fraction_rows(ctx.identity(), 3)
+        assert ctx == RationalMatrixCtx(3) and hash(ctx) == hash(RationalMatrixCtx(3))
+        assert repr(ctx) == "RationalMatrixCtx(dim=3)"
 
 
 class TestClosure:
