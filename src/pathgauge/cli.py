@@ -14,6 +14,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import numeric
 from .complexes import build_tree, chord_loops
 from .errors import ConjugacyViolated, NotClosed, ParseError, PathGaugeError
@@ -207,10 +209,10 @@ def cmd_numeric_check(args, out) -> int:
         worst = max(worst, _retrace_defect(rng))
     report.add("numeric/retrace-invariance", worst <= 1e-9, {"worst": worst})
 
-    grid = [i / 10_000 for i in range(10_001)]
-    sym = max(abs(numeric.bump(t) + numeric.bump(1.0 - t) - 1.0) for t in grid)
-    vals = [numeric.bump(t) for t in grid]
-    monotone = all(b >= a for a, b in zip(vals, vals[1:]))
+    grid = np.arange(10_001) / 10_000
+    vals = numeric.bump(grid)
+    sym = float(np.max(np.abs(vals + numeric.bump(1.0 - grid) - 1.0)))
+    monotone = bool(np.all(np.diff(vals) >= 0.0))
     report.add(
         "numeric/bump",
         numeric.bump(0.0) == 0.0 and numeric.bump(1.0) == 1.0 and sym <= 1e-12 and monotone,
@@ -258,17 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact holonomy, reconstruction, and classification on graph gauge fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--report-format", choices=("text", "structured"), default="text")
-        p.add_argument("--default-identity", action="store_true")
-        p.add_argument("--max-loop-length", type=int, default=6)
-        p.add_argument("--seed", type=int, default=0)
+    formats = ("text", "structured")
 
     p = sub.add_parser("validate", help="check a complex (and optionally a gauge file)")
     p.add_argument("complex")
     p.add_argument("gauge", nargs="?", default=None)
-    common(p)
+    p.add_argument("--default-identity", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("holonomy", help="holonomy of a loop, or of all chord loops")
@@ -276,19 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gauge")
     p.add_argument("loop", nargs="?", default=None)
     p.add_argument("--all-chords", action="store_true")
-    common(p)
+    p.add_argument("--report-format", choices=formats, default="text")
+    p.add_argument("--default-identity", action="store_true")
     p.set_defaults(func=cmd_holonomy)
 
     p = sub.add_parser("reconstruct", help="build the gauge field realizing a holonomy spec")
     p.add_argument("complex")
     p.add_argument("holospec")
     p.add_argument("--output", default=None)
-    common(p)
+    p.add_argument("--report-format", choices=formats, default="text")
+    p.add_argument("--max-loop-length", type=int, default=6)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("roundtrip", help="seeded random round-trip verification")
     p.add_argument("--instances", type=int, default=20)
-    common(p)
+    p.add_argument("--report-format", choices=formats, default="text")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("classify", help="conjugacy classification of two gauge fields")
@@ -296,12 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gauge1")
     p.add_argument("gauge2")
     p.add_argument("--conjugator", default=None)
-    common(p)
+    p.add_argument("--report-format", choices=formats, default="text")
+    p.add_argument("--default-identity", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("numeric-check", help="piecewise-linear numeric battery")
     p.add_argument("--trials", type=int, default=100)
-    common(p)
+    p.add_argument("--report-format", choices=formats, default="text")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_numeric_check)
 
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import EndpointMismatch, NonEquivariantSpec, NotConnected, ParseError, UnknownEdge
-from .words import EdgeStep, PathWord, concat, empty_word, parse_step, reduce_word, reverse_word
+from .words import EdgeStep, PathWord, empty_word, parse_step, reverse_word
 
 # Characters that would make an edge id ambiguous inside a word literal.
 _LITERAL_SYNTAX = (",", "~", "@")
@@ -201,14 +201,15 @@ def chord_loops(cx: BaseComplex, tree: SpanningTree) -> dict[str, PathWord]:
 
     The loop for a chord e runs from the basepoint to the chord's tail along
     the tree, across e forward, and back along the tree; it traverses e
-    exactly once and no other chord.
+    exactly once and no other chord.  It is already reduced: both tree paths
+    are, and the chord step cancels neither tree step beside it.
     """
     loops: dict[str, PathWord] = {}
     for chord in tree.chords():
         e = cx.edge(chord)
-        across = cx.word((EdgeStep(chord, True),))
-        loop = concat(concat(tree_path(tree, e.src), across), reverse_word(tree_path(tree, e.dst)))
-        loops[chord] = reduce_word(loop)
+        out, back = tree_path(tree, e.src), reverse_word(tree_path(tree, e.dst))
+        steps = out.steps + (EdgeStep(chord, True),) + back.steps
+        loops[chord] = PathWord(steps, out.vertices + back.vertices)
     return loops
 
 

@@ -158,9 +158,10 @@ def canonicalize(ap: AssociatedPoint, spec: HoloSpec) -> tuple[str, GroupElement
     The word is slid onto the tree path of its endpoint; the leftover based
     loop is absorbed into the fiber through the homomorphism.  Two
     representatives denote the same class iff their canonical pairs are equal.
+    The loop is left unreduced: `HoloSpec.eval` reads only its retrace class.
     """
     x = ap.word.dst
-    gamma = reduce_word(concat(ap.word, reverse_word(tree_path(spec.tree, x))))
+    gamma = concat(ap.word, reverse_word(tree_path(spec.tree, x)))
     return x, spec.ctx.mul(spec.eval(gamma), ap.g)
 
 

@@ -25,7 +25,6 @@ from .complexes import (
     SpanningTree,
     build_tree,
     check_graph_map,
-    chord_loops,
     compose_graph_maps,
     enumerate_reduced_loops,
     enumerate_words,
@@ -54,7 +53,7 @@ from .gauge import (
 )
 from .groups import GroupCtx, GroupElement, HoloSpec
 from .pathspace import AssociatedPoint, AssocPath, associated_connection
-from .words import PathWord, concat, reduce_word, reverse_word
+from .words import PathWord
 
 
 @dataclass(frozen=True)
@@ -217,9 +216,9 @@ def find_conjugator(bc: BCObject, other: BCObject) -> GroupElement | None:
     raise InfiniteContext.
     """
     other = _on_tree_of(bc, other)
-    H = holonomy_of_bundle(bc).spec.assignment
-    H2 = holonomy_of_bundle(other).spec.assignment
-    return bc.ctx.conjugator([H[c] for c in H], [H2[c] for c in H])
+    H = chord_holonomies(bc.gauge, bc.xi0, bc.tree)
+    H2 = chord_holonomies(other.gauge, other.xi0, other.tree)
+    return bc.ctx.conjugator(list(H.values()), list(H2.values()))
 
 
 def gauge_morphism_exists(bc: BCObject, other: BCObject) -> bool:
@@ -268,30 +267,27 @@ def compose_hol_morphisms(second: HolMorphism, first: HolMorphism) -> HolMorphis
 def hol_morphism_to_bundle(f: HolMorphism, src: HolObject, dst: HolObject) -> BundleMap:
     """Push a holonomy-compatible base map to a morphism of rebuilt bundles.
 
-    Compatibility H'(f о loop) = H(loop) is checked on chord generators; the
-    fiber adjuster at x absorbs the mismatch between the image of the source
-    tree path and the target tree path.
+    The rebuilt target field pulled back along f transports every source
+    word w as H'(f ∘ w), since target tree edges carry the identity.  So its
+    chord holonomies at the identity fiber are H'(f ∘ chord loop), checked
+    against H in chord order, and its tree potentials are the fiber
+    adjusters: the image of the source tree path to x, closed up by the
+    target tree path to f(x).  O(V+E) group operations.
     """
     check_hol_morphism(f, src.complex, dst.complex)
     if src.spec.ctx != dst.spec.ctx:
         raise NonEquivariantSpec("holonomy objects use different groups")
-    ctx = src.spec.ctx
-    for chord, loop in sorted(chord_loops(src.complex, src.tree).items()):
+    ctx, cx = src.spec.ctx, src.complex
+    pulled = GaugeField(cx, ctx, {e.id: dst.spec.label(f.edge_map[e.id]) for e in cx.edges})
+    at_identity = BundlePoint(cx.basepoint, ctx.identity())
+    for chord, got in chord_holonomies(pulled, at_identity, src.tree).items():
         expected = src.spec.assignment[chord]
-        got = dst.spec.eval(f.on_word(dst.complex, loop))
         if got != expected:
             raise HolonomyIncompatible(
                 f"chord {chord!r}: image loop evaluates to "
                 f"{ctx.to_literal(got)}, expected {ctx.to_literal(expected)}"
             )
-    adjust: dict[str, GroupElement] = {}
-    for v in src.complex.vertices:
-        image_path = f.on_word(dst.complex, tree_path(src.tree, v))
-        back = reduce_word(
-            concat(image_path, reverse_word(tree_path(dst.tree, f.vertex_map[v])))
-        )
-        adjust[v] = dst.spec.eval(back)
-    return BundleMap(dict(f.vertex_map), dict(f.edge_map), adjust)
+    return BundleMap(dict(f.vertex_map), dict(f.edge_map), tree_transports(pulled, src.tree))
 
 
 def bundle_morphism_to_hol(F: BundleMap, src: BCObject, dst: BCObject) -> HolMorphism:
@@ -367,25 +363,20 @@ def verify_reconstruction(
     iso = reconstruct_iso(bc)
     spec = iso.spec
     cx = bc.complex
+    paths = {v: tree_path(bc.tree, v) for v in cx.vertices}
 
+    test_elements = ctx.elements() if ctx.is_finite else [ctx.identity(), *spec.assignment.values()]
+    inputs = [(v, g) for v in cx.vertices for g in test_elements]
+    images = [iso.forward_canonical(v, g) for v, g in inputs]
     if ctx.is_finite:
-        test_elements = ctx.elements()
         # V * |G| inputs are injective exactly when they have that many images.
-        images = {iso.forward_canonical(v, g) for v in cx.vertices for g in test_elements}
-        report.add(prefix + "/bijective", len(images) == len(cx.vertices) * len(test_elements))
-    else:
-        test_elements = [ctx.identity()] + list(spec.assignment.values())
-    round_ok = all(
-        iso.inverse(iso.forward_canonical(v, g)) == (v, g)
-        for v in cx.vertices
-        for g in test_elements
-    )
+        report.add(prefix + "/bijective", len(set(images)) == len(inputs))
+    round_ok = all(iso.inverse(im) == vg for im, vg in zip(images, inputs))
     report.add(prefix + "/inverse-roundtrip", round_ok)
 
     equivariant = True
     witness = None
-    for v in cx.vertices:
-        path = tree_path(bc.tree, v)
+    for v, path in paths.items():
         for g in test_elements:
             ap = AssociatedPoint(path, g)
             for h in test_elements:
@@ -396,22 +387,20 @@ def verify_reconstruction(
                     witness = {"vertex": v, "g": ctx.to_literal(g), "h": ctx.to_literal(h)}
     report.add(prefix + "/equivariant", equivariant, witness)
 
-    base_ok = all(
-        iso.forward_canonical(v, g).base == v for v in cx.vertices for g in test_elements
-    )
+    base_ok = all(im.base == v for im, (v, _) in zip(images, inputs))
     report.add(prefix + "/base-compatible", base_ok)
 
     intertwine_ok = True
     witness = None
     if anchor_max_len is None:
-        anchors = {v: [tree_path(bc.tree, v)] for v in cx.vertices}
+        anchors = {v: [path] for v, path in paths.items()}
     else:
         pool = reduced_words_from(cx, cx.basepoint, anchor_max_len)
         anchors = {v: [w for w in pool if w.dst == v] for v in cx.vertices}
     fiber_sample = test_elements if len(test_elements) <= 8 else [ctx.identity()] + list(
         spec.assignment.values()
     )
-    tree_anchor = {v: AssociatedPoint(tree_path(bc.tree, v), ctx.identity()) for v in cx.vertices}
+    tree_anchor = {v: AssociatedPoint(path, ctx.identity()) for v, path in paths.items()}
     for base_word in enumerate_words(cx, max_word_len):
         n = len(base_word.steps)
         for r in range(n + 1):

@@ -1,15 +1,89 @@
-"""Random bundles, and bundle pairs with known conjugacy, for the
-reconstruction and acceptance tests."""
+"""Test fixtures beyond the two standing ones, index walks, random bundles,
+and bundle pairs with known conjugacy."""
 
 from __future__ import annotations
 
 import random
 
-from pathgauge.complexes import build_tree
+from pathgauge.complexes import BaseComplex, Edge, build_tree
 from pathgauge.gauge import BundlePoint, GaugeField
-from pathgauge.groups import GroupCtx, HoloSpec, PermutationCtx
-from pathgauge.instances import random_connected_complex, random_ctx, random_element
+from pathgauge.groups import CyclicCtx, GroupCtx, HoloSpec, PermutationCtx
+from pathgauge.instances import (
+    random_connected_complex,
+    random_ctx,
+    random_element,
+    theta_complex,
+    wedge_complex,
+)
 from pathgauge.reconstruct import BCObject, bc_object, bundle_from_holonomy, hol_object
+
+
+def theta4_complex() -> BaseComplex:
+    """Theta plus a fourth edge running back, for wider word tests."""
+    return BaseComplex(
+        ("v0", "v1"),
+        (
+            Edge("a", "v0", "v1"),
+            Edge("b", "v0", "v1"),
+            Edge("c", "v0", "v1"),
+            Edge("d", "v1", "v0"),
+        ),
+        "v0",
+    )
+
+
+def path3_complex() -> BaseComplex:
+    return BaseComplex(
+        ("v0", "v1", "v2"),
+        (Edge("e1", "v0", "v1"), Edge("e2", "v1", "v2")),
+        "v0",
+    )
+
+
+def theta_gauge() -> GaugeField:
+    return GaugeField(theta_complex(), CyclicCtx(5), {"a": 0, "b": 2, "c": 1})
+
+
+def wedge_gauge() -> GaugeField:
+    return GaugeField(wedge_complex(), PermutationCtx(3), {"p": (1, 0, 2), "q": (1, 2, 0)})
+
+
+def wedge_holospec() -> HoloSpec:
+    cx = wedge_complex()
+    return HoloSpec(cx, build_tree(cx), PermutationCtx(3), {"p": (1, 0, 2), "q": (1, 2, 0)})
+
+
+def theta_bc() -> BCObject:
+    return bc_object(theta_gauge())
+
+
+def wedge_bc() -> BCObject:
+    return bc_object(wedge_gauge())
+
+
+def monotone_walks(n: int) -> list[list[int]]:
+    """All monotone index walks on a word of length n: forward and backward runs."""
+    walks = []
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            walks.append(list(range(a, b + 1)))
+            if b > a:
+                walks.append(list(range(b, a - 1, -1)))
+    return walks
+
+
+def backtracking_walks(n: int, length: int) -> list[list[int]]:
+    """All unit-step index walks of the given length, including backtracking ones."""
+    walks: list[list[int]] = [[p] for p in range(n + 1)]
+    for _ in range(length):
+        nxt = []
+        for w in walks:
+            for d in (-1, 1):
+                p = w[-1] + d
+                if 0 <= p <= n:
+                    nxt.append(w + [p])
+        walks = nxt
+    return walks
 
 
 def random_bc_object(rng: random.Random, ctx: GroupCtx | None = None) -> BCObject:

@@ -1,16 +1,9 @@
 import pytest
 
 from pathgauge.complexes import build_tree
-from pathgauge.instances import (
-    path3_complex,
-    theta4_complex,
-    theta_complex,
-    theta_gauge,
-    theta_holospec,
-    wedge_complex,
-    wedge_gauge,
-    wedge_holospec,
-)
+from pathgauge.instances import theta_complex, theta_holospec, wedge_complex
+
+from .builders import path3_complex, theta4_complex, theta_gauge, wedge_gauge, wedge_holospec
 
 
 @pytest.fixture(scope="session")

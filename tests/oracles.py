@@ -5,17 +5,20 @@ pass, brute-force orbit enumeration instead of canonical forms, literal
 search over all fiber-adjustment maps instead of tree propagation, full edge
 scans instead of an incidence index and a heap frontier, every group element
 instead of orbit propagation, `Fraction` arithmetic instead of integer
-kernels.  They share no code path with what they verify.
+kernels, words built, mapped, reduced and evaluated instead of tree
+potentials.  They share no code path with what they verify.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pathgauge.complexes import BaseComplex, SpanningTree
-from pathgauge.errors import DomainMismatch, NotConnected
+from pathgauge.complexes import BaseComplex, SpanningTree, tree_path
+from pathgauge.errors import DomainMismatch, HolonomyIncompatible, NonEquivariantSpec, NotConnected
+from pathgauge.gauge import BundleMap
 from pathgauge.groups import GroupCtx
-from pathgauge.words import EdgeStep, PathWord
+from pathgauge.reconstruct import check_hol_morphism
+from pathgauge.words import EdgeStep, PathWord, concat, reduce_word, reverse_word
 
 
 def rewrite_closure_normal_forms(word: PathWord) -> set[PathWord]:
@@ -206,3 +209,43 @@ def bfs_subgroup_closure(ctx: GroupCtx, gens) -> frozenset:
                     nxt.append(b)
         frontier = nxt
     return frozenset(closure)
+
+
+def concat_chord_loops(cx: BaseComplex, tree: SpanningTree) -> dict[str, PathWord]:
+    """Generating based loops, one per chord: the tree path to the chord's
+    tail, the chord forward, the tree path to its head backwards, joined by
+    `concat` and freely reduced."""
+    loops: dict[str, PathWord] = {}
+    for chord in tree.chords():
+        e = cx.edge(chord)
+        across = cx.word((EdgeStep(chord, True),))
+        loop = concat(concat(tree_path(tree, e.src), across), reverse_word(tree_path(tree, e.dst)))
+        loops[chord] = reduce_word(loop)
+    return loops
+
+
+def word_hol_morphism_to_bundle(f, src, dst) -> BundleMap:
+    """Push a holonomy-compatible base map to a morphism of rebuilt bundles
+    by mapping and evaluating words: every chord loop for compatibility, and
+    for the adjuster at x the image of the source tree path to x followed by
+    the target tree path to f(x) backwards."""
+    check_hol_morphism(f, src.complex, dst.complex)
+    if src.spec.ctx != dst.spec.ctx:
+        raise NonEquivariantSpec("holonomy objects use different groups")
+    ctx = src.spec.ctx
+    for chord, loop in sorted(concat_chord_loops(src.complex, src.tree).items()):
+        expected = src.spec.assignment[chord]
+        got = dst.spec.eval(f.on_word(dst.complex, loop))
+        if got != expected:
+            raise HolonomyIncompatible(
+                f"chord {chord!r}: image loop evaluates to "
+                f"{ctx.to_literal(got)}, expected {ctx.to_literal(expected)}"
+            )
+    adjust = {}
+    for v in src.complex.vertices:
+        image_path = f.on_word(dst.complex, tree_path(src.tree, v))
+        back = reduce_word(
+            concat(image_path, reverse_word(tree_path(dst.tree, f.vertex_map[v])))
+        )
+        adjust[v] = dst.spec.eval(back)
+    return BundleMap(dict(f.vertex_map), dict(f.edge_map), adjust)

@@ -37,18 +37,7 @@ from pathgauge.gauge import (
     holonomy_rep,
     project_horizontal,
 )
-from pathgauge.instances import (
-    monotone_walks,
-    random_hol_object,
-    theta_bc,
-    theta_complex,
-    theta_gauge,
-    theta_holospec,
-    wedge_bc,
-    wedge_complex,
-    wedge_gauge,
-    wedge_holospec,
-)
+from pathgauge.instances import random_hol_object, theta_complex, theta_holospec, wedge_complex
 from pathgauge.pathspace import (
     FPath,
     FPoint,
@@ -70,7 +59,16 @@ from pathgauge.reconstruct import (
 )
 from pathgauge.words import loop_id, reduce_word
 
-from .builders import conjugate_bc_pair, nonconjugate_bc_pair
+from .builders import (
+    conjugate_bc_pair,
+    monotone_walks,
+    nonconjugate_bc_pair,
+    theta_bc,
+    theta_gauge,
+    wedge_bc,
+    wedge_gauge,
+    wedge_holospec,
+)
 from .oracles import oracle_reduce
 
 

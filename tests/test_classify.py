@@ -19,7 +19,7 @@ from pathgauge.complexes import BaseComplex, Edge, SpanningTree, build_tree
 from pathgauge.errors import InfiniteContext
 from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
-from pathgauge.instances import random_connected_complex, random_element, theta_bc
+from pathgauge.instances import random_connected_complex, random_element
 from pathgauge.reconstruct import (
     bc_object,
     bundle_from_holonomy,
@@ -31,6 +31,7 @@ from pathgauge.reconstruct import (
 )
 from pathgauge.words import EdgeStep
 
+from .builders import theta_bc
 from .oracles import adjuster_search_morphism_exists, brute_force_conjugator
 
 SMALL_CONTEXTS = {

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pathgauge.cli import main
+from pathgauge.cli import build_parser, main
 from pathgauge.errors import ParseError
 from pathgauge.fileio import (
     dump_complex,
@@ -13,7 +13,9 @@ from pathgauge.fileio import (
     parse_gauge,
     parse_holospec,
 )
-from pathgauge.instances import theta_complex, theta_gauge, theta_holospec
+from pathgauge.instances import theta_complex, theta_holospec
+
+from .builders import theta_gauge
 
 THETA_CX = json.dumps(
     {
@@ -308,3 +310,42 @@ class TestNumericCommand:
         assert code == 1
         assert out == ""
         assert "--trials" in capsys.readouterr().err
+
+
+# Each subcommand declares only the flags it reads.
+POSITIONALS = {
+    "validate": ["cx"],
+    "holonomy": ["cx", "gauge"],
+    "reconstruct": ["cx", "holo"],
+    "roundtrip": [],
+    "classify": ["cx", "gauge1", "gauge2"],
+    "numeric-check": [],
+}
+FLAGS = {
+    "--report-format": "structured",
+    "--default-identity": None,
+    "--max-loop-length": "3",
+    "--seed": "7",
+}
+KEPT = {
+    "validate": {"--default-identity"},
+    "holonomy": {"--report-format", "--default-identity"},
+    "reconstruct": {"--report-format", "--max-loop-length"},
+    "roundtrip": {"--report-format", "--seed"},
+    "classify": {"--report-format", "--default-identity"},
+    "numeric-check": {"--report-format", "--seed"},
+}
+FLAG_CASES = [(cmd, flag) for cmd in POSITIONALS for flag in FLAGS]
+
+
+@pytest.mark.parametrize("command, flag", FLAG_CASES, ids=[f"{c}{f}" for c, f in FLAG_CASES])
+def test_subcommand_accepts_only_the_flags_it_reads(command, flag, capsys):
+    argv = [command, *POSITIONALS[command], flag] + ([FLAGS[flag]] if FLAGS[flag] else [])
+    if flag in KEPT[command]:
+        args = build_parser().parse_args(argv)
+        assert str(vars(args)[flag[2:].replace("-", "_")]) == (FLAGS[flag] or "True")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -23,8 +23,9 @@ from pathgauge.gauge import (
     transport,
 )
 from pathgauge.groups import CyclicCtx, PermutationCtx
-from pathgauge.instances import monotone_walks
 from pathgauge.words import concat, empty_word, loop_id, reduce_word, reverse_word
+
+from .builders import backtracking_walks, monotone_walks
 
 
 def fiber_alphabet(field):
@@ -209,8 +210,6 @@ class TestLiftProperties:
 def walk_cases(n, include_backtracking=False):
     walks = monotone_walks(n)
     if include_backtracking:
-        from pathgauge.instances import backtracking_walks
-
         walks = walks + backtracking_walks(n, min(n + 1, 3))
     return walks
 

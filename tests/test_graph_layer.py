@@ -4,7 +4,10 @@
 index), `tree_transports` (one pass over the parent map) and
 `chord_holonomies` (tree potentials) must agree with the edge scans in
 `oracles.py` and with word-by-word transport, on random multigraphs with
-self-loops, parallel edges and disconnected inputs.
+self-loops, parallel edges and disconnected inputs.  `chord_loops` (one
+word from two tree paths), `canonicalize` (no reduction before `eval`) and
+`hol_morphism_to_bundle` (pullback onto tree potentials) must agree with
+the word-building oracles.
 """
 
 import random
@@ -15,19 +18,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgauge.complexes import BaseComplex, Edge, build_tree, chord_loops, tree_path
-from pathgauge.errors import NotConnected
+from pathgauge.errors import HolonomyIncompatible, NotConnected
 from pathgauge.gauge import (
     BundlePoint,
     GaugeField,
+    check_bundle_morphism,
     chord_holonomies,
     holonomy_rep,
     transport,
     tree_transports,
 )
-from pathgauge.groups import CyclicCtx, PermutationCtx, RationalMatrixCtx
-from pathgauge.reconstruct import bc_object, holonomy_of_bundle
+from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
+from pathgauge.pathspace import AssociatedPoint, canonicalize
+from pathgauge.reconstruct import (
+    HolMorphism,
+    bc_object,
+    bundle_from_holonomy,
+    hol_morphism_to_bundle,
+    hol_object,
+    holonomy_of_bundle,
+    identity_hol_morphism,
+)
+from pathgauge.words import concat, reduce_word, reverse_word
 
-from .oracles import laplace_det, scan_build_tree, scan_out_steps
+from .oracles import (
+    concat_chord_loops,
+    laplace_det,
+    scan_build_tree,
+    scan_out_steps,
+    word_hol_morphism_to_bundle,
+)
 
 # Short ids over a small alphabet, so lexicographic order and ids shared by a
 # vertex and an edge both occur.
@@ -105,6 +125,138 @@ def test_chord_holonomies_match_chord_loop_holonomies(ctx, data):
     assert list(chord_holonomies(field, xi0, tree).items()) == list(expected.items())
 
 
+@st.composite
+def walks_from_basepoint(draw, cx):
+    """A word of up to 8 random steps out of the basepoint, backtracking
+    included, so it is often not reduced."""
+    steps, at = [], cx.basepoint
+    for _ in range(draw(st.integers(0, 8))):
+        if not cx.out_steps(at):
+            break
+        steps.append(draw(st.sampled_from(cx.out_steps(at))))
+        at = cx.step_head(steps[-1])
+    return cx.word(steps, at=cx.basepoint)
+
+
+@given(multigraphs(connected=True))
+@settings(max_examples=300, deadline=None)
+def test_chord_loops_match_concat_oracle(cx):
+    tree = build_tree(cx)
+    loops = chord_loops(cx, tree)
+    assert list(loops.items()) == list(concat_chord_loops(cx, tree).items())
+    assert all(loop.is_reduced() for loop in loops.values())
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda ctx: ctx.kind)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_canonicalize_matches_reduce_then_eval(ctx, data):
+    cx = data.draw(multigraphs(connected=True))
+    tree = build_tree(cx)
+    spec = HoloSpec(cx, tree, ctx, {c: data.draw(elements(ctx)) for c in tree.chords()})
+    word, g = data.draw(walks_from_basepoint(cx)), data.draw(elements(ctx))
+    gamma = reduce_word(concat(word, reverse_word(tree_path(tree, word.dst))))
+    assert canonicalize(AssociatedPoint(word, g), spec) == (word.dst, ctx.mul(spec.eval(gamma), g))
+
+
+def _inclusion(draw, src_cx):
+    """`src_cx` renamed ("i" + id) inside a larger complex.  The extra
+    vertices and edges get ids starting with "h", which sort first, so the
+    target's own tree often differs from the image of the source tree."""
+    vertices = ["i" + v for v in src_cx.vertices]
+    edges = [Edge("i" + e.id, "i" + e.src, "i" + e.dst) for e in src_cx.edges]
+    extra = draw(st.integers(0, 3))
+    for k in range(extra):  # each new vertex joins an earlier one
+        edges.append(Edge(f"h{k}", f"h{k}", draw(st.sampled_from(vertices))))
+        vertices.append(f"h{k}")
+    ends = st.sampled_from(vertices)
+    for k in range(extra, extra + draw(st.integers(0, 4))):
+        edges.append(Edge(f"h{k}", draw(ends), draw(ends)))
+    dst_cx = BaseComplex(tuple(vertices), tuple(edges), "i" + src_cx.basepoint)
+    f = HolMorphism({v: "i" + v for v in src_cx.vertices}, {e.id: "i" + e.id for e in src_cx.edges})
+    return f, dst_cx
+
+
+def _fold(draw, dst_cx):
+    """A random source complex with a graph map onto `dst_cx`: each new
+    source vertex lifts one step out of an earlier one, and extra source
+    edges lift random target edges, so loops may unwind or fold."""
+    image = {"u0": dst_cx.basepoint}
+    edges, edge_map = [], {}
+    for i in range(1, draw(st.integers(1, 6))):
+        u = draw(st.sampled_from(sorted(image)))
+        if not dst_cx.out_steps(image[u]):
+            break
+        step = draw(st.sampled_from(dst_cx.out_steps(image[u])))
+        image[f"u{i}"] = dst_cx.step_head(step)
+        pair = (u, f"u{i}") if step.forward else (f"u{i}", u)
+        edges.append(Edge(f"e{len(edges)}", *pair))
+        edge_map[edges[-1].id] = step.edge
+    for _ in range(draw(st.integers(1, 6))):
+        if not dst_cx.edges:
+            break
+        target = draw(st.sampled_from(dst_cx.edges))
+        tails = [u for u in sorted(image) if image[u] == target.src]
+        heads = [u for u in sorted(image) if image[u] == target.dst]
+        if tails and heads:
+            edges.append(Edge(f"e{len(edges)}", draw(st.sampled_from(tails)), draw(st.sampled_from(heads))))
+            edge_map[edges[-1].id] = target.id
+    src_cx = BaseComplex(tuple(image), tuple(edges), "u0")
+    return HolMorphism(image, edge_map), src_cx
+
+
+@st.composite
+def hol_morphisms(draw, ctx):
+    """(f, src, dst): an identity map, an inclusion or a fold, a random
+    target spec, and a source spec that is compatible by construction in
+    half the cases and random otherwise."""
+    kind = draw(st.sampled_from(["identity", "inclusion", "fold"]))
+    cx = draw(multigraphs(connected=True))
+    if kind == "identity":
+        f, src_cx, dst_cx = identity_hol_morphism(cx), cx, cx
+    elif kind == "inclusion":
+        src_cx = cx
+        f, dst_cx = _inclusion(draw, cx)
+    else:
+        dst_cx = cx
+        f, src_cx = _fold(draw, cx)
+    dst_tree, src_tree = build_tree(dst_cx), build_tree(src_cx)
+    dst = hol_object(HoloSpec(dst_cx, dst_tree, ctx, {c: draw(elements(ctx)) for c in dst_tree.chords()}))
+    if draw(st.booleans()):
+        loops = concat_chord_loops(src_cx, src_tree)
+        assignment = {c: dst.spec.eval(f.on_word(dst_cx, loop)) for c, loop in loops.items()}
+    else:
+        assignment = {c: draw(elements(ctx)) for c in src_tree.chords()}
+    return f, hol_object(HoloSpec(src_cx, src_tree, ctx, assignment)), dst
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda ctx: ctx.kind)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hol_morphism_to_bundle_matches_word_oracle(ctx, data):
+    f, src, dst = data.draw(hol_morphisms(ctx))
+    try:
+        expected = word_hol_morphism_to_bundle(f, src, dst)
+    except HolonomyIncompatible as exc:
+        with pytest.raises(HolonomyIncompatible) as got:
+            hol_morphism_to_bundle(f, src, dst)
+        assert str(got.value) == str(exc)
+        return
+    F = hol_morphism_to_bundle(f, src, dst)
+    assert (F.vertex_map, F.edge_map) == (expected.vertex_map, expected.edge_map)
+    assert list(F.fiber_adjust.items()) == list(expected.fiber_adjust.items())
+    assert check_bundle_morphism(F, bundle_from_holonomy(src).gauge, bundle_from_holonomy(dst).gauge)
+
+
+def deep_path_complex(n: int, rng: random.Random) -> tuple[BaseComplex, list[Edge], list[Edge]]:
+    """A path of n vertices plus n/2 random chords; its tree is the path."""
+    vertices = tuple(f"v{i:05d}" for i in range(n))
+    # Path edge ids sort before chord ids, so the path wins every tie.
+    path = [Edge(f"a{i:05d}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    chords = [Edge(f"c{j:05d}", rng.choice(vertices), rng.choice(vertices)) for j in range(n // 2)]
+    return BaseComplex(vertices, tuple(path + chords), vertices[0]), path, chords
+
+
 def test_graph_layer_scales_on_a_deep_tree():
     """A path of V=20 000 vertices with V/2 random chords: the tree is the
     path, as deep as it gets.  An O(V*E) tree scan takes minutes here.
@@ -114,11 +266,8 @@ def test_graph_layer_scales_on_a_deep_tree():
     """
     n, order = 20_000, 97
     rng = random.Random(4)
-    vertices = tuple(f"v{i:05d}" for i in range(n))
-    # Path edge ids sort before chord ids, so the path wins every tie.
-    path = [Edge(f"a{i:05d}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
-    chords = [Edge(f"c{j:05d}", rng.choice(vertices), rng.choice(vertices)) for j in range(n // 2)]
-    cx = BaseComplex(vertices, tuple(path + chords), vertices[0])
+    cx, path, chords = deep_path_complex(n, rng)
+    vertices = cx.vertices
     field = GaugeField(cx, CyclicCtx(order), {e.id: rng.randrange(order) for e in cx.edges})
 
     start = time.perf_counter()
@@ -138,3 +287,20 @@ def test_graph_layer_scales_on_a_deep_tree():
         e.id: (prefix[index[e.src]] + field.labels[e.id] - prefix[index[e.dst]]) % order
         for e in chords
     }
+
+
+def test_morphism_transfer_scales_on_a_deep_tree():
+    """The identity morphism of a V=20 000 deep path with V/2 chords.  Walking
+    the chord loops and the tree paths word by word is quadratic in V here."""
+    order = 97
+    rng = random.Random(5)
+    cx, _, _ = deep_path_complex(20_000, rng)
+    tree = build_tree(cx)
+    obj = hol_object(HoloSpec(cx, tree, CyclicCtx(order), {c: rng.randrange(order) for c in tree.chords()}))
+
+    start = time.perf_counter()
+    F = hol_morphism_to_bundle(identity_hol_morphism(cx), obj, obj)
+    elapsed = time.perf_counter() - start
+
+    assert elapsed < 2.0, f"{elapsed:.1f} s"
+    assert F.fiber_adjust == {v: 0 for v in cx.vertices}

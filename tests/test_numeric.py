@@ -31,6 +31,15 @@ class TestBump:
         vals = numeric.bump(np.linspace(0.0, 1.0, 10_001))
         assert np.all(np.diff(vals) >= 0.0)
 
+    def test_array_values_equal_scalar_calls(self):
+        """The grid check of `numeric-check` evaluates the bump on arrays; the
+        values must be the scalar ones bit for bit, so the defect it reports is too."""
+        grid = [i / 10_000 for i in range(10_001)]
+        arr = np.arange(10_001) / 10_000
+        assert arr.tolist() == grid
+        assert numeric.bump(arr).tolist() == [numeric.bump(t) for t in grid]
+        assert numeric.bump(1.0 - arr).tolist() == [numeric.bump(1.0 - t) for t in grid]
+
     def test_flat_near_endpoints(self):
         assert numeric.bump(0.01) < 1e-40
         assert numeric.bump(0.99) >= 1.0 - 1e-15

@@ -9,7 +9,6 @@ from pathgauge.complexes import (
     tree_path,
 )
 from pathgauge.errors import BaseMismatch, EndpointMismatch, IndexOutOfRange
-from pathgauge.instances import monotone_walks
 from pathgauge.pathspace import (
     AssocPath,
     AssociatedPoint,
@@ -32,6 +31,8 @@ from pathgauge.pathspace import (
     universal_lift,
 )
 from pathgauge.words import empty_word, loop_id, loop_mul, reduce_word
+
+from .builders import monotone_walks
 
 
 def fp(cx, literal):

@@ -12,7 +12,7 @@ from pathgauge.errors import (
 )
 from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism, holonomy_rep
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
-from pathgauge.instances import random_hol_object, theta_bc, wedge_bc
+from pathgauge.instances import random_hol_object
 from pathgauge.pathspace import AssociatedPoint
 from pathgauge.reconstruct import (
     HolMorphism,
@@ -35,7 +35,7 @@ from pathgauge.reconstruct import (
 )
 from pathgauge.words import empty_word
 
-from .builders import conjugate_bc_pair, nonconjugate_bc_pair, random_bc_object
+from .builders import conjugate_bc_pair, nonconjugate_bc_pair, random_bc_object, theta_bc, wedge_bc
 
 
 class TestBundleFromHolonomy:

@@ -79,3 +79,43 @@ def _memo_caches(tree: ast.Module) -> list[int]:
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_memo_caches(module):
     assert _memo_caches(MODULES[module]) == []
+
+
+def _elements_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing definition, line) of every `.elements()` call outside a
+    `GroupCtx` class; the definition is a function or class name, "" at
+    module level."""
+    calls = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            bases = {getattr(b, "id", None) for b in node.bases}
+            if node.name == "GroupCtx" or "GroupCtx" in bases:
+                return
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "elements"
+        ):
+            calls.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return calls
+
+
+def test_group_is_listed_only_where_exhaustive_by_design():
+    """Listing a group is |G| work.  Only the group contexts themselves,
+    `verify_reconstruction`'s exhaustive points and `random_element` do it."""
+    allowed = {("reconstruct", "verify_reconstruction"), ("instances", "random_element")}
+    found = [
+        (module, owner, line)
+        for module, tree in MODULES.items()
+        for owner, line in _elements_calls(tree)
+        if (module, owner) not in allowed
+    ]
+    assert found == []
