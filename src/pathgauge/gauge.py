@@ -23,7 +23,7 @@ from .complexes import (
 )
 from .errors import BaseMismatch, DomainMismatch, IndexOutOfRange, NonEquivariantSpec, ParseError, UnknownEdge
 from .groups import GroupCtx, GroupElement, subgroup_closure
-from .words import PathWord, concat, word_along_walk
+from .words import PathWord, concat, walk_out, word_along_walk
 
 Walk = tuple[int, ...] | list[int]
 
@@ -63,19 +63,13 @@ class GaugeField:
         return g if step.forward else self.ctx.inv(g)
 
 
-def position_transports(field: GaugeField, word: PathWord) -> list[GroupElement]:
-    """P[i] = transport of the first i steps; then transport from r to s is
-    P[s] * P[r]^-1 for every pair, in either direction."""
-    ctx = field.ctx
-    out = [ctx.identity()]
-    for step in word.steps:
-        out.append(ctx.mul(field.step_transport(step), out[-1]))
-    return out
-
-
 def transport(field: GaugeField, word: PathWord) -> GroupElement:
     """Fiber displacement along a word; later steps multiply on the left."""
-    return position_transports(field, word)[-1]
+    ctx = field.ctx
+    g = ctx.identity()
+    for step in word.steps:
+        g = ctx.mul(field.step_transport(step), g)
+    return g
 
 
 def tree_transports(field: GaugeField, tree: SpanningTree) -> dict[str, GroupElement]:
@@ -124,20 +118,11 @@ class EPath:
 
 
 def horizontal_lift(field: GaugeField, word: PathWord, t0: int, xi: BundlePoint) -> EPath:
-    """The unique horizontal path over `word` passing through `xi` at `t0`."""
-    n = len(word.steps)
-    if not 0 <= t0 <= n:
-        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
-    if xi.base != word.vertex_at(t0):
-        raise BaseMismatch(
-            f"point over {xi.base!r} cannot start a lift at {word.vertex_at(t0)!r}"
-        )
+    """The unique horizontal path over `word` passing through `xi` at `t0`:
+    crossing a step multiplies the fiber by its transport."""
     ctx = field.ctx
-    ctx.check(xi.fiber)
-    pos = position_transports(field, word)
-    start = ctx.mul(ctx.inv(pos[t0]), xi.fiber)
-    fibers = tuple(ctx.mul(pos[s], start) for s in range(n + 1))
-    return EPath(word, fibers)
+    cross = lambda f, step, _: ctx.mul(field.step_transport(step), f)  # noqa: E731
+    return EPath(word, tuple(walk_out(word, t0, xi.base, lambda: ctx.check(xi.fiber), cross)))
 
 
 def project_horizontal(field: GaugeField, path: EPath, t: int) -> EPath:

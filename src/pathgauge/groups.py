@@ -154,9 +154,11 @@ class PermutationCtx(GroupCtx):
             raise ParseError(f"permutation degree must be >= 1, got {self.degree}")
 
     def check(self, a):
+        # sorted() alone would accept 1.0 and True, which equal 1.
         if (
             not isinstance(a, tuple)
             or len(a) != self.degree
+            or set(map(type, a)) != {int}
             or sorted(a) != list(range(self.degree))
         ):
             raise DomainMismatch(f"{a!r} is not a permutation of degree {self.degree}")
@@ -444,15 +446,17 @@ class HoloSpec:
             return self.ctx.identity()
         return self.assignment[edge_id]
 
-    def eval(self, loop: PathWord) -> GroupElement:
-        """Value on a based loop; depends only on the retrace class."""
+    def eval(self, word: PathWord) -> GroupElement:
+        """Value on a word out of the basepoint, closed up along the tree path
+        of its endpoint (tree steps add nothing), so on based loops it is the
+        homomorphism.  Depends only on the retrace class."""
         bp = self.complex.basepoint
-        if loop.src != bp or loop.dst != bp:
+        if word.src != bp:
             raise BaseMismatch(
-                f"loop from {loop.src!r} to {loop.dst!r} is not based at {bp!r}"
+                f"loop from {word.src!r} to {word.dst!r} is not based at {bp!r}"
             )
         acc = self.ctx.identity()
-        for step in loop.steps:
+        for step in word.steps:
             if step.edge in self.assignment:
                 g = self.assignment[step.edge]
                 acc = self.ctx.mul(g if step.forward else self.ctx.inv(g), acc)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import tree_path
 from .errors import BaseMismatch, EndpointMismatch, IndexOutOfRange
 from .groups import GroupCtx, GroupElement, HoloSpec
-from .words import PathWord, concat, reduce_word, reverse_word, subword, word_along_walk
+from .words import PathWord, concat, extend_reduced, reduce_word, reverse_word, walk_out, word_along_walk
 
 Walk = tuple[int, ...] | list[int]
 
@@ -80,22 +79,6 @@ class FPath:
                 )
 
 
-def _extend_anchor(anchor: PathWord, word: PathWord, t0: int) -> list[PathWord]:
-    """reduce(anchor ++ subword(word, t0, s)) for every position s of `word`.
-
-    The anchor must end where `word` is at t0; the segment runs backwards for
-    s < t0.  This is the word part of every horizontal lift and projection.
-    """
-    n = len(word.steps)
-    if not 0 <= t0 <= n:
-        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
-    if anchor.dst != word.vertex_at(t0):
-        raise BaseMismatch(
-            f"point over {anchor.dst!r} cannot start a lift at {word.vertex_at(t0)!r}"
-        )
-    return [reduce_word(concat(anchor, subword(word, t0, s))) for s in range(n + 1)]
-
-
 def _check_index(r: int, n: int) -> None:
     if not 0 <= r <= n:
         raise IndexOutOfRange(f"index {r} outside path of length {n}")
@@ -110,7 +93,8 @@ def universal_connection(path: FPath, r: int) -> FPath:
 
 def universal_lift(word: PathWord, t0: int, start: FPoint) -> FPath:
     """The horizontal path over `word` through `start` at index t0."""
-    return FPath(word, tuple(FPoint(w) for w in _extend_anchor(start.word, word, t0)))
+    words = walk_out(word, t0, start.target, lambda: start.word, extend_reduced)
+    return FPath(word, tuple(map(FPoint, words)))
 
 
 def is_universally_horizontal(path: FPath) -> bool:
@@ -156,13 +140,11 @@ def canonicalize(ap: AssociatedPoint, spec: HoloSpec) -> tuple[str, GroupElement
     """Unique normal form (endpoint vertex, adjusted element) of a class.
 
     The word is slid onto the tree path of its endpoint; the leftover based
-    loop is absorbed into the fiber through the homomorphism.  Two
-    representatives denote the same class iff their canonical pairs are equal.
-    The loop is left unreduced: `HoloSpec.eval` reads only its retrace class.
+    loop is absorbed into the fiber through the homomorphism, which
+    `HoloSpec.eval` reads off the word itself.  Two representatives denote
+    the same class iff their canonical pairs are equal.
     """
-    x = ap.word.dst
-    gamma = concat(ap.word, reverse_word(tree_path(spec.tree, x)))
-    return x, spec.ctx.mul(spec.eval(gamma), ap.g)
+    return ap.word.dst, spec.ctx.mul(spec.eval(ap.word), ap.g)
 
 
 def assoc_eq(a: AssociatedPoint, b: AssociatedPoint, spec: HoloSpec) -> bool:
@@ -200,8 +182,9 @@ def associated_connection(path: AssocPath, r: int) -> AssocPath:
 
 
 def associated_lift(word: PathWord, t0: int, start: AssociatedPoint) -> AssocPath:
-    """Horizontal path in the associated bundle; the fiber factor rides along."""
-    words = _extend_anchor(start.word, word, t0)
+    """Horizontal path in the associated bundle: the word part lifts as in
+    `universal_lift`, from the reduced start word; the fiber factor rides along."""
+    words = walk_out(word, t0, start.base, lambda: reduce_word(start.word), extend_reduced)
     return AssocPath(word, tuple(AssociatedPoint(w, start.g) for w in words))
 
 

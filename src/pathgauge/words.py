@@ -16,8 +16,9 @@ and lets callers distinguish a representative from its class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import EndpointMismatch, IndexOutOfRange
+from .errors import BaseMismatch, EndpointMismatch, IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,33 @@ def subword(w: PathWord, r: int, s: int) -> PathWord:
     if s >= r:
         return PathWord(w.steps[r:s], w.vertices[r : s + 1])
     return reverse_word(PathWord(w.steps[s:r], w.vertices[s : r + 1]))
+
+
+def extend_reduced(w: PathWord, step: EdgeStep, vertex: str) -> PathWord:
+    """One step of the `reduce_word` stack pass: `w` followed by `step`
+    (arriving at `vertex`), freely reduced when `w` is."""
+    if w.steps and w.steps[-1].cancels(step):
+        return PathWord(w.steps[:-1], w.vertices[:-1])
+    return PathWord(w.steps + (step,), w.vertices + (vertex,))
+
+
+def walk_out(word: PathWord, t0: int, base: str, start: Callable, cross: Callable) -> list:
+    """Values at every position of `word`, carried out from position t0: the
+    value at t0 is `start()`, called once t0 and `base` (the vertex there)
+    have passed their checks; each other value is `cross(value, step, vertex)`
+    of its neighbour towards t0, forward to the end of the word and with
+    flipped steps back to position 0, `vertex` being where the step arrives."""
+    n = len(word.steps)
+    if not 0 <= t0 <= n:
+        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
+    if base != word.vertices[t0]:
+        raise BaseMismatch(f"point over {base!r} cannot start a lift at {word.vertices[t0]!r}")
+    out = [start()] * (n + 1)
+    for s in range(t0, n):
+        out[s + 1] = cross(out[s], word.steps[s], word.vertices[s + 1])
+    for s in range(t0 - 1, -1, -1):
+        out[s] = cross(out[s + 1], word.steps[s].flipped(), word.vertices[s])
+    return out
 
 
 def word_along_walk(w: PathWord, walk: tuple[int, ...] | list[int]) -> PathWord:

@@ -6,7 +6,8 @@ search over all fiber-adjustment maps instead of tree propagation, full edge
 scans instead of an incidence index and a heap frontier, every group element
 instead of orbit propagation, `Fraction` arithmetic instead of integer
 kernels, words built, mapped, reduced and evaluated instead of tree
-potentials.  They share no code path with what they verify.
+potentials, every lift position reduced or transported from scratch instead
+of one outward walk.  They share no code path with what they verify.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from pathgauge.complexes import BaseComplex, SpanningTree, tree_path
-from pathgauge.errors import DomainMismatch, HolonomyIncompatible, NonEquivariantSpec, NotConnected
-from pathgauge.gauge import BundleMap
+from pathgauge.errors import (
+    BaseMismatch,
+    DomainMismatch,
+    HolonomyIncompatible,
+    IndexOutOfRange,
+    NonEquivariantSpec,
+    NotConnected,
+)
+from pathgauge.gauge import BundleMap, BundlePoint, EPath, GaugeField
 from pathgauge.groups import GroupCtx
 from pathgauge.reconstruct import check_hol_morphism
-from pathgauge.words import EdgeStep, PathWord, concat, reduce_word, reverse_word
+from pathgauge.words import EdgeStep, PathWord, concat, reduce_word, reverse_word, subword
 
 
 def rewrite_closure_normal_forms(word: PathWord) -> set[PathWord]:
@@ -249,3 +257,36 @@ def word_hol_morphism_to_bundle(f, src, dst) -> BundleMap:
         )
         adjust[v] = dst.spec.eval(back)
     return BundleMap(dict(f.vertex_map), dict(f.edge_map), adjust)
+
+
+def scratch_anchor_extension(anchor: PathWord, word: PathWord, t0: int) -> list[PathWord]:
+    """reduce(anchor ++ subword(word, t0, s)) for every position s of `word`,
+    each reduced from scratch: the word part of the universal and associated
+    lifts through `anchor` at t0."""
+    n = len(word.steps)
+    if not 0 <= t0 <= n:
+        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
+    if anchor.dst != word.vertex_at(t0):
+        raise BaseMismatch(
+            f"point over {anchor.dst!r} cannot start a lift at {word.vertex_at(t0)!r}"
+        )
+    return [reduce_word(concat(anchor, subword(word, t0, s))) for s in range(n + 1)]
+
+
+def prefix_transport_lift(field: GaugeField, word: PathWord, t0: int, xi: BundlePoint) -> EPath:
+    """The horizontal lift through `xi` at t0 from the prefix transports P[s]
+    of `word`: the fiber at s is P[s] P[t0]^-1 * xi.fiber."""
+    n = len(word.steps)
+    if not 0 <= t0 <= n:
+        raise IndexOutOfRange(f"start index {t0} outside word of length {n}")
+    if xi.base != word.vertex_at(t0):
+        raise BaseMismatch(
+            f"point over {xi.base!r} cannot start a lift at {word.vertex_at(t0)!r}"
+        )
+    ctx = field.ctx
+    ctx.check(xi.fiber)
+    pos = [ctx.identity()]
+    for step in word.steps:
+        pos.append(ctx.mul(field.step_transport(step), pos[-1]))
+    start = ctx.mul(ctx.inv(pos[t0]), xi.fiber)
+    return EPath(word, tuple(ctx.mul(pos[s], start) for s in range(n + 1)))

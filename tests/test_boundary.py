@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from pathgauge.complexes import build_tree, identity_graph_map
-from pathgauge.errors import BaseMismatch, DomainMismatch, NonEquivariantSpec, ParseError, UnknownEdge
+from pathgauge.errors import (
+    BaseMismatch,
+    DomainMismatch,
+    IndexOutOfRange,
+    NonEquivariantSpec,
+    ParseError,
+    UnknownEdge,
+)
 from pathgauge.gauge import (
     BundleMap,
     BundlePoint,
@@ -25,6 +32,7 @@ from pathgauge.gauge import (
 )
 from pathgauge.groups import HoloSpec, PermutationCtx, RationalMatrixCtx, subgroup_closure
 from pathgauge.instances import theta_complex, theta_holospec
+from pathgauge.pathspace import AssociatedPoint, FPoint, associated_lift, universal_lift
 from pathgauge.reconstruct import bc_object, conjugation_iso
 from pathgauge.words import EdgeStep, PathWord
 
@@ -126,6 +134,42 @@ def test_entry_point_rejects_non_member(site, error, match, kind):
     ctx, bad, _ = NON_MEMBERS[kind]
     with pytest.raises(error, match=match):
         site(theta_complex(), ctx, bad)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (True, False), (1, 0.0)], ids=["floats", "bools", "one-float"])
+def test_permutation_check_rejects_non_int_entries(bad):
+    """1.0 and True equal 1, so sorting alone would take them for points."""
+    ctx = PermutationCtx(2)
+    with pytest.raises(DomainMismatch):
+        ctx.check(bad)
+    with pytest.raises(ParseError, match="'a'"):
+        GaugeField(theta_complex(), ctx, {"a": bad, "b": (0, 1), "c": (0, 1)})
+
+
+@pytest.mark.parametrize("kind", sorted(NON_MEMBERS))
+def test_lift_errors_keep_their_order(kind):
+    """A bad start index is reported before a point over the wrong vertex,
+    and that before a non-member fiber, with the same messages for all
+    three lifts."""
+    ctx, bad, _ = NON_MEMBERS[kind]
+    cx = theta_complex()
+    field, word = _identity_field(cx, ctx), cx.word_from_literal("a")
+    over = {"v0": cx.word_from_literal("@v0"), "v1": word}
+    cases = [
+        (2, "v1", IndexOutOfRange, "start index 2 outside word of length 1"),
+        (0, "v1", BaseMismatch, "point over 'v1' cannot start a lift at 'v0'"),
+    ]
+    for t0, v, error, message in cases:
+        for lift in (
+            lambda: horizontal_lift(field, word, t0, BundlePoint(v, bad)),
+            lambda: universal_lift(word, t0, FPoint(over[v])),
+            lambda: associated_lift(word, t0, AssociatedPoint(over[v], bad)),
+        ):
+            with pytest.raises(error) as exc:
+                lift()
+            assert str(exc.value) == message
+    with pytest.raises(DomainMismatch):
+        horizontal_lift(field, word, 0, BundlePoint("v0", bad))
 
 
 def _fractions(rows):

@@ -5,9 +5,10 @@ index), `tree_transports` (one pass over the parent map) and
 `chord_holonomies` (tree potentials) must agree with the edge scans in
 `oracles.py` and with word-by-word transport, on random multigraphs with
 self-loops, parallel edges and disconnected inputs.  `chord_loops` (one
-word from two tree paths), `canonicalize` (no reduction before `eval`) and
-`hol_morphism_to_bundle` (pullback onto tree potentials) must agree with
-the word-building oracles.
+word from two tree paths), `canonicalize` (`eval` on the word itself),
+`hol_morphism_to_bundle` (pullback onto tree potentials) and the three
+horizontal lifts (one outward walk) must agree with the word-building and
+from-scratch oracles.
 """
 
 import random
@@ -18,34 +19,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgauge.complexes import BaseComplex, Edge, build_tree, chord_loops, tree_path
-from pathgauge.errors import HolonomyIncompatible, NotConnected
+from pathgauge.errors import ConjugacyViolated, HolonomyIncompatible, NotConnected
 from pathgauge.gauge import (
     BundlePoint,
     GaugeField,
     check_bundle_morphism,
     chord_holonomies,
     holonomy_rep,
+    horizontal_lift,
     transport,
     tree_transports,
 )
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
-from pathgauge.pathspace import AssociatedPoint, canonicalize
+from pathgauge.pathspace import (
+    AssociatedPoint,
+    AssocPath,
+    FPath,
+    FPoint,
+    associated_lift,
+    canonicalize,
+    fpoint,
+    universal_lift,
+)
 from pathgauge.reconstruct import (
     HolMorphism,
     bc_object,
     bundle_from_holonomy,
+    conjugation_iso,
     hol_morphism_to_bundle,
     hol_object,
     holonomy_of_bundle,
     identity_hol_morphism,
+    reconstruct_iso,
 )
 from pathgauge.words import concat, reduce_word, reverse_word
 
 from .oracles import (
     concat_chord_loops,
     laplace_det,
+    prefix_transport_lift,
     scan_build_tree,
     scan_out_steps,
+    scratch_anchor_extension,
     word_hol_morphism_to_bundle,
 )
 
@@ -126,16 +141,16 @@ def test_chord_holonomies_match_chord_loop_holonomies(ctx, data):
 
 
 @st.composite
-def walks_from_basepoint(draw, cx):
-    """A word of up to 8 random steps out of the basepoint, backtracking
-    included, so it is often not reduced."""
-    steps, at = [], cx.basepoint
+def walks(draw, cx, start):
+    """A word of up to 8 random steps out of `start`, backtracking included,
+    so it is often not reduced."""
+    steps, at = [], start
     for _ in range(draw(st.integers(0, 8))):
         if not cx.out_steps(at):
             break
         steps.append(draw(st.sampled_from(cx.out_steps(at))))
         at = cx.step_head(steps[-1])
-    return cx.word(steps, at=cx.basepoint)
+    return cx.word(steps, at=start)
 
 
 @given(multigraphs(connected=True))
@@ -154,7 +169,7 @@ def test_canonicalize_matches_reduce_then_eval(ctx, data):
     cx = data.draw(multigraphs(connected=True))
     tree = build_tree(cx)
     spec = HoloSpec(cx, tree, ctx, {c: data.draw(elements(ctx)) for c in tree.chords()})
-    word, g = data.draw(walks_from_basepoint(cx)), data.draw(elements(ctx))
+    word, g = data.draw(walks(cx, cx.basepoint)), data.draw(elements(ctx))
     gamma = reduce_word(concat(word, reverse_word(tree_path(tree, word.dst))))
     assert canonicalize(AssociatedPoint(word, g), spec) == (word.dst, ctx.mul(spec.eval(gamma), g))
 
@@ -246,6 +261,67 @@ def test_hol_morphism_to_bundle_matches_word_oracle(ctx, data):
     assert (F.vertex_map, F.edge_map) == (expected.vertex_map, expected.edge_map)
     assert list(F.fiber_adjust.items()) == list(expected.fiber_adjust.items())
     assert check_bundle_morphism(F, bundle_from_holonomy(src).gauge, bundle_from_holonomy(dst).gauge)
+
+
+def _anchor(data, cx, tree, v):
+    """A random word out of the basepoint, closed up along its tree path and
+    continued along the tree path to v: often unreduced, always ending at v."""
+    w = data.draw(walks(cx, cx.basepoint))
+    return concat(concat(w, reverse_word(tree_path(tree, w.dst))), tree_path(tree, v))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda ctx: ctx.kind)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_lifts_match_from_scratch_oracles(ctx, data):
+    """At every start index of a backtracking word: the universal and
+    associated lifts against reduce(anchor ++ subword) per position, and the
+    horizontal lift against the prefix-transport formula."""
+    cx = data.draw(multigraphs(connected=True))
+    field = GaugeField(cx, ctx, {e.id: data.draw(elements(ctx)) for e in cx.edges})
+    word = data.draw(walks(cx, data.draw(st.sampled_from(cx.vertices))))
+    tree = build_tree(cx)
+    for t0 in range(len(word) + 1):
+        anchor, g = _anchor(data, cx, tree, word.vertex_at(t0)), data.draw(elements(ctx))
+        expected = scratch_anchor_extension(anchor, word, t0)
+        assert universal_lift(word, t0, fpoint(anchor)) == FPath(word, tuple(map(FPoint, expected)))
+        lifted = associated_lift(word, t0, AssociatedPoint(anchor, g))
+        assert lifted == AssocPath(word, tuple(AssociatedPoint(w, g) for w in expected))
+        xi = BundlePoint(word.vertex_at(t0), g)
+        assert horizontal_lift(field, word, t0, xi) == prefix_transport_lift(field, word, t0, xi)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS[1:], ids=lambda ctx: ctx.kind)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_conjugation_iso_matches_reconstruction_formula(ctx, data):
+    """Adjusters iso'.adjust[v] g^-1 iso.adjust[v]^-1 from the two
+    reconstruction isomorphisms, or ConjugacyViolated at the first chord
+    breaking H = g H' g^-1.  The second field is a gauge transform of the
+    first, with one edge relabelled in about half the cases."""
+    cx = data.draw(multigraphs(connected=True))
+    labels = {e.id: data.draw(elements(ctx)) for e in cx.edges}
+    k = {v: data.draw(elements(ctx)) for v in cx.vertices}
+    moved = {e.id: ctx.mul(ctx.mul(k[e.dst], labels[e.id]), ctx.inv(k[e.src])) for e in cx.edges}
+    if cx.edges and data.draw(st.booleans()):
+        moved[data.draw(st.sampled_from(cx.edges)).id] = data.draw(elements(ctx))
+    a, a2 = data.draw(elements(ctx)), data.draw(elements(ctx))
+    bc = bc_object(GaugeField(cx, ctx, labels), BundlePoint(cx.basepoint, a))
+    other = bc_object(GaugeField(cx, ctx, moved), BundlePoint(cx.basepoint, a2))
+    g = ctx.mul(ctx.inv(ctx.mul(k[cx.basepoint], a)), a2)
+    iso, iso2 = reconstruct_iso(bc), reconstruct_iso(other)
+    H, H2 = iso.spec.assignment, iso2.spec.assignment
+    broken = [c for c in sorted(H) if H[c] != ctx.conjugate(g, H2[c])]
+    if broken:
+        with pytest.raises(ConjugacyViolated) as exc:
+            conjugation_iso(bc, other, g)
+        assert exc.value.chord == broken[0]
+        return
+    F = conjugation_iso(bc, other, g)
+    g_inv = ctx.inv(g)
+    expected = {v: ctx.mul(iso2.adjust[v], ctx.mul(g_inv, ctx.inv(iso.adjust[v]))) for v in cx.vertices}
+    assert list(F.fiber_adjust.items()) == list(expected.items())
+    assert check_bundle_morphism(F, bc.gauge, other.gauge)
 
 
 def deep_path_complex(n: int, rng: random.Random) -> tuple[BaseComplex, list[Edge], list[Edge]]:

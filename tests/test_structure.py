@@ -119,3 +119,17 @@ def test_group_is_listed_only_where_exhaustive_by_design():
         if (module, owner) not in allowed
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("gauge", "horizontal_lift"), ("pathspace", "universal_lift"), ("pathspace", "associated_lift")],
+)
+def test_lifts_are_one_outward_walk(module, name):
+    """Every horizontal lift takes its values from a single `walk_out` call
+    and has no check or loop of its own."""
+    fn = next(n for n in MODULES[module].body if isinstance(n, ast.FunctionDef) and n.name == name)
+    called = [n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert called.count("walk_out") == 1
+    own = [type(n).__name__ for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While, ast.If, ast.IfExp, ast.Raise))]
+    assert own == []
