@@ -20,7 +20,8 @@ from . import numeric
 from .complexes import build_tree, chord_loops
 from .errors import ConjugacyViolated, NotClosed, ParseError, PathGaugeError
 from .fileio import canonical_json, dump_gauge, parse_complex, parse_gauge, parse_holospec
-from .gauge import BundlePoint, check_bundle_morphism, chord_holonomies, holonomy_group, holonomy_rep
+from .gauge import BundlePoint, check_bundle_morphism, chord_holonomies, holonomy_rep
+from .groups import subgroup_closure
 from .instances import random_hol_object
 from .reconstruct import (
     Report,
@@ -78,12 +79,14 @@ def cmd_holonomy(args, out) -> int:
         holonomies = chord_holonomies(field, xi0, tree)
         for chord, loop in chord_loops(cx, tree).items():
             rows.append((loop.literal(), field.ctx.to_literal(holonomies[chord])))
-        group = holonomy_group(field, xi0, tree)
-        if isinstance(group, frozenset):
+        # The holonomy group (`holonomy_group`) from the holonomies measured above.
+        gens = list(holonomies.values())
+        if field.ctx.is_finite:
+            group = subgroup_closure(field.ctx, gens)
             members = sorted(field.ctx.to_literal(g) for g in group)
             summary = {"order": len(group), "elements": members}
         else:
-            summary = {"generators": [field.ctx.to_literal(g) for g in group]}
+            summary = {"generators": [field.ctx.to_literal(g) for g in gens]}
     else:
         if args.loop is None:
             raise ParseError("need a loop literal or --all-chords")

@@ -10,6 +10,7 @@ and the two commute, which is all the equivariance below amounts to.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .complexes import (
@@ -38,11 +39,16 @@ class BundlePoint:
 
 @dataclass(frozen=True)
 class GaugeField:
-    """Edge labeling into a group; the transport data of a connection."""
+    """Edge labeling into a group; the transport data of a connection.
+
+    Each label is inverted once, after every label passed its check, so a
+    reverse step reads its transport from `_inverses`.
+    """
 
     complex: BaseComplex
     ctx: GroupCtx
     labels: dict[str, GroupElement]
+    _inverses: dict[str, GroupElement] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         edge_ids = {e.id for e in self.complex.edges}
@@ -55,21 +61,23 @@ class GaugeField:
                 self.ctx.check(el)
             except DomainMismatch as exc:
                 raise ParseError(f"edge {edge_id!r}: {exc}") from exc
+        inverses = {edge_id: self.ctx.inv(el) for edge_id, el in self.labels.items()}
+        object.__setattr__(self, "_inverses", inverses)
 
     def step_transport(self, step) -> GroupElement:
         if step.edge not in self.labels:
             raise UnknownEdge(f"edge {step.edge!r} not labeled")
-        g = self.labels[step.edge]
-        return g if step.forward else self.ctx.inv(g)
+        return (self.labels if step.forward else self._inverses)[step.edge]
+
+    def step_transports(self, word: PathWord) -> list[GroupElement]:
+        """The step transports of `word`, last step first: the factors of its
+        transport for `GroupCtx.product`."""
+        return [self.step_transport(step) for step in reversed(word.steps)]
 
 
 def transport(field: GaugeField, word: PathWord) -> GroupElement:
     """Fiber displacement along a word; later steps multiply on the left."""
-    ctx = field.ctx
-    g = ctx.identity()
-    for step in word.steps:
-        g = ctx.mul(field.step_transport(step), g)
-    return g
+    return field.ctx.product(field.step_transports(word))
 
 
 def tree_transports(field: GaugeField, tree: SpanningTree) -> dict[str, GroupElement]:
@@ -82,20 +90,24 @@ def tree_transports(field: GaugeField, tree: SpanningTree) -> dict[str, GroupEle
     return {v: t[v] for v in cx.vertices}
 
 
-def chord_holonomies(field: GaugeField, xi0: BundlePoint, tree: SpanningTree) -> dict[str, GroupElement]:
+def chord_holonomies(
+    field: GaugeField, xi0: BundlePoint, tree: SpanningTree, potentials: dict[str, GroupElement] | None = None
+) -> dict[str, GroupElement]:
     """Holonomy at xi0 of each chord loop, chords in id order, in O(V+E) group
     operations: transport ignores free reduction, so the loop of chord e gives
-    a^-1 * T(dst)^-1 * U(e) * T(src) * a, with a the marked fiber."""
+    the product a^-1 * T(dst)^-1 * U(e) * T(src) * a, with a the marked fiber.
+    `potentials` are the T(v) = `tree_transports(field, tree)` when the caller
+    already has them."""
     cx, ctx = field.complex, field.ctx
     if xi0.base != cx.basepoint:
         raise BaseMismatch(f"chord loops are based at {cx.basepoint!r}, got {xi0.base!r}")
-    a_inv = ctx.inv(ctx.check(xi0.fiber))
-    t = tree_transports(field, tree)
-    out = {}
-    for e in map(cx.edge, tree.chords()):
-        around = ctx.mul(ctx.inv(t[e.dst]), ctx.mul(field.labels[e.id], t[e.src]))
-        out[e.id] = ctx.conjugate(a_inv, around)
-    return out
+    a = ctx.check(xi0.fiber)
+    a_inv = ctx.inv(a)
+    t = tree_transports(field, tree) if potentials is None else potentials
+    return {
+        e.id: ctx.product([a_inv, ctx.inv(t[e.dst]), field.labels[e.id], t[e.src], a])
+        for e in map(cx.edge, tree.chords())
+    }
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ def holonomy_rep(field: GaugeField, xi0: BundlePoint, loop: PathWord) -> GroupEl
         )
     ctx = field.ctx
     a = ctx.check(xi0.fiber)
-    return ctx.mul(ctx.inv(a), ctx.mul(transport(field, loop), a))
+    return ctx.product([ctx.inv(a), *field.step_transports(loop), a])
 
 
 def holonomy_group(field: GaugeField, xi0: BundlePoint, tree: SpanningTree | None = None):

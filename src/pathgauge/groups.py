@@ -14,7 +14,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Iterable, Sequence
 
 from .errors import BaseMismatch, DomainMismatch, InfiniteContext, ParseError, UnknownEdge
@@ -30,8 +30,8 @@ class GroupCtx:
     the library: `from_literal`, `RationalMatrixCtx.matrix`, the gauge field
     and holonomy spec constructors, marked points, conjugators, morphism
     adjusters, closure generators, the fiber factors of `act_fibers` and the
-    points given to `bundle_morphism_apply`.  `mul`, `inv`, `to_literal` and
-    `conjugator` assume members and only compute.
+    points given to `bundle_morphism_apply`.  `mul`, `inv`, `product`,
+    `to_literal` and `conjugator` assume members and only compute.
     """
 
     kind: str = ""
@@ -49,9 +49,21 @@ class GroupCtx:
     def inv(self, a: GroupElement) -> GroupElement:
         raise NotImplementedError
 
+    def product(self, factors: Sequence[GroupElement]) -> GroupElement:
+        """factors[0] * ... * factors[-1], the last factor acting first, as in
+        `mul`; the identity only for no factors.  Folds `mul` from the last
+        factor, so no identity is multiplied in."""
+        if not factors:
+            return self.identity()
+        rest = reversed(factors)
+        acc = next(rest)
+        for g in rest:
+            acc = self.mul(g, acc)
+        return acc
+
     def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g h g^-1."""
-        return self.mul(self.mul(g, h), self.inv(g))
+        return self.product([g, h, self.inv(g)])
 
     def conjugator(
         self, xs: Sequence[GroupElement], ys: Sequence[GroupElement]
@@ -274,8 +286,9 @@ class RationalMatrixCtx(GroupCtx):
     tuples of `Fraction` rows and computed on integers in O(dim^3): `mul`
     scales rows of `a` and columns of `b` to integers, `inv` runs
     fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the scaled
-    rows, and each builds one `Fraction` per entry.  `check` decides
-    singularity through `inv`."""
+    rows, `product` multiplies whole factors scaled to integers, and each
+    builds one `Fraction` per entry.  `check` decides singularity through
+    `inv`."""
 
     dim: int
     kind = "rational_matrix"
@@ -313,6 +326,25 @@ class RationalMatrixCtx(GroupCtx):
             tuple(Fraction(sum(map(operator.mul, ra, cb)), da * db) for cb, db in cols)
             for ra, da in map(_integer_row, a)
         )
+
+    def product(self, factors):
+        """Each factor scaled once to integers over one denominator; after
+        each step one gcd of all entries and the denominator is divided out,
+        so the integers stay near the size of the reduced value."""
+        if len(factors) < 2:
+            return factors[0] if factors else self._identity
+        rest = reversed(factors)
+        rows, den = _integer_matrix(next(rest))
+        cols = list(zip(*rows))
+        for a in rest:
+            rows, d = _integer_matrix(a)
+            cols = [[sum(map(operator.mul, r, c)) for r in rows] for c in cols]
+            den *= d
+            g = gcd(den, *itertools.chain.from_iterable(cols))
+            if g > 1:
+                cols = [[x // g for x in c] for c in cols]
+                den //= g
+        return tuple(tuple(Fraction(x, den) for x in row) for row in zip(*cols))
 
     def inv(self, a):
         n = self.dim
@@ -361,6 +393,13 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in row]
     d = lcm(*(q for _, q in ratios))
     return [p * (d // q) for p, q in ratios], d
+
+
+def _integer_matrix(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer rows n and one positive d with a[i][k] == n[i][k] / d."""
+    flat, d = _integer_row([v for row in a for v in row])
+    k = len(a)
+    return [flat[i : i + k] for i in range(0, k * k, k)], d
 
 
 def ctx_from_spec(spec: dict) -> GroupCtx:
@@ -455,11 +494,11 @@ class HoloSpec:
             raise BaseMismatch(
                 f"loop from {word.src!r} to {word.dst!r} is not based at {bp!r}"
             )
-        acc = self.ctx.identity()
+        factors = []
         for step in word.steps:
             if step.edge in self.assignment:
                 g = self.assignment[step.edge]
-                acc = self.ctx.mul(g if step.forward else self.ctx.inv(g), acc)
+                factors.append(g if step.forward else self.ctx.inv(g))
             else:
                 self.label(step.edge)  # a tree step adds nothing; off the complex it raises
-        return acc
+        return self.ctx.product(factors[::-1])

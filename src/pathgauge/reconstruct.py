@@ -48,7 +48,6 @@ from .gauge import (
     chord_holonomies,
     holonomy_rep,
     horizontal_lift,
-    transport,
     tree_transports,
 )
 from .groups import GroupCtx, GroupElement, HoloSpec
@@ -142,11 +141,9 @@ class ReconstructionIso:
     adjust: dict[str, GroupElement]
 
     def forward(self, ap: AssociatedPoint) -> BundlePoint:
-        ctx = self.bc.ctx
-        disp = transport(self.bc.gauge, ap.word)
-        return BundlePoint(
-            ap.base, ctx.mul(disp, ctx.mul(self.bc.xi0.fiber, ap.g))
-        )
+        bc = self.bc
+        factors = [*bc.gauge.step_transports(ap.word), bc.xi0.fiber, ap.g]
+        return BundlePoint(ap.base, bc.ctx.product(factors))
 
     def forward_canonical(self, vertex: str, g: GroupElement) -> BundlePoint:
         return BundlePoint(vertex, self.bc.ctx.mul(self.adjust[vertex], g))
@@ -187,23 +184,22 @@ def conjugation_iso(bc: BCObject, other: BCObject, g: GroupElement) -> BundleMap
     `other` is measured on too, and raises ConjugacyViolated at the first
     failure; on success returns the fiber-adjusting map obtained by pushing
     left multiplication by g^-1 through both reconstruction isomorphisms,
-    whose adjusters at v are T(v) a and T'(v) a' (`reconstruct_iso`).
+    whose adjusters at v are T(v) a and T'(v) a' (`reconstruct_iso`).  Each
+    bundle's tree transports are computed once and serve both.
     """
     other = _on_tree_of(bc, other)
     ctx = bc.ctx
     ctx.check(g)
-    H = chord_holonomies(bc.gauge, bc.xi0, bc.tree)
-    H2 = chord_holonomies(other.gauge, other.xi0, other.tree)
-    for chord in sorted(H):
-        if H[chord] != ctx.conjugate(g, H2[chord]):
-            raise ConjugacyViolated(chord)
     g_inv = ctx.inv(g)
     t, t2 = tree_transports(bc.gauge, bc.tree), tree_transports(other.gauge, other.tree)
-    a, a2 = bc.xi0.fiber, other.xi0.fiber
-    adjust = {
-        v: ctx.mul(ctx.mul(t2[v], a2), ctx.mul(g_inv, ctx.inv(ctx.mul(t[v], a))))
-        for v in bc.complex.vertices
-    }
+    H = chord_holonomies(bc.gauge, bc.xi0, bc.tree, t)
+    H2 = chord_holonomies(other.gauge, other.xi0, other.tree, t2)
+    for chord in sorted(H):
+        if H[chord] != ctx.product([g, H2[chord], g_inv]):
+            raise ConjugacyViolated(chord)
+    # (T'(v) a') g^-1 (T(v) a)^-1, with the constant middle a' g^-1 a^-1 taken once.
+    middle = ctx.product([other.xi0.fiber, g_inv, ctx.inv(bc.xi0.fiber)])
+    adjust = {v: ctx.product([t2[v], middle, ctx.inv(t[v])]) for v in bc.complex.vertices}
     return BundleMap(*identity_graph_map(bc.complex), adjust)
 
 
@@ -381,10 +377,10 @@ def verify_reconstruction(
     witness = None
     for v, path in paths.items():
         for g in test_elements:
-            ap = AssociatedPoint(path, g)
+            image = iso.forward(AssociatedPoint(path, g)).fiber
             for h in test_elements:
                 lhs = iso.forward(AssociatedPoint(path, ctx.mul(g, h)))
-                rhs = BundlePoint(lhs.base, ctx.mul(iso.forward(ap).fiber, h))
+                rhs = BundlePoint(lhs.base, ctx.mul(image, h))
                 if lhs != rhs:
                     equivariant = False
                     witness = {"vertex": v, "g": ctx.to_literal(g), "h": ctx.to_literal(h)}

@@ -7,7 +7,8 @@ scans instead of an incidence index and a heap frontier, every group element
 instead of orbit propagation, `Fraction` arithmetic instead of integer
 kernels, words built, mapped, reduced and evaluated instead of tree
 potentials, every lift position reduced or transported from scratch instead
-of one outward walk.  They share no code path with what they verify.
+of one outward walk, one `mul` per factor instead of one product.  They
+share no code path with what they verify.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ def laplace_det(rows) -> Fraction:
         term = rows[0][j] * laplace_det(minor)
         det += term if j % 2 == 0 else -term
     return det
+
+
+def mul_fold(ctx: GroupCtx, factors):
+    """factors[0] * ... * factors[-1] as the plain left-to-right `mul` fold
+    from the identity; `GroupCtx.product` folds from the last factor, and
+    `RationalMatrixCtx.product` multiplies integer matrices instead."""
+    acc = ctx.identity()
+    for g in factors:
+        acc = ctx.mul(acc, g)
+    return acc
 
 
 def schoolbook_mul(a, b):

@@ -136,6 +136,37 @@ def test_entry_point_rejects_non_member(site, error, match, kind):
         site(theta_complex(), ctx, bad)
 
 
+@pytest.mark.parametrize("kind", sorted(NON_MEMBERS))
+def test_non_member_label_is_rejected_before_any_inverse(kind, monkeypatch):
+    """A field inverts its labels only once every label passed its check, so
+    a non-member is a `ParseError` naming its edge and no label has been
+    inverted outside `check` yet (a singular matrix has no inverse)."""
+    ctx, bad, _ = NON_MEMBERS[kind]
+    cls = type(ctx)
+    check, inv = cls.check, cls.inv
+    depth, inverted = [0], []
+
+    def checking(self, a):
+        depth[0] += 1
+        try:
+            return check(self, a)
+        finally:
+            depth[0] -= 1
+
+    def inverting(self, a):
+        if not depth[0]:
+            inverted.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(cls, "check", checking)
+    monkeypatch.setattr(cls, "inv", inverting)
+    with pytest.raises(ParseError, match="^edge 'b': "):
+        _gauge_field(theta_complex(), ctx, bad)
+    assert inverted == []
+    _identity_field(theta_complex(), ctx)
+    assert inverted == [ctx.identity()] * 3
+
+
 @pytest.mark.parametrize("bad", [(1.0, 0.0), (True, False), (1, 0.0)], ids=["floats", "bools", "one-float"])
 def test_permutation_check_rejects_non_int_entries(bad):
     """1.0 and True equal 1, so sorting alone would take them for points."""
@@ -193,7 +224,7 @@ def test_matrix_check_rejects(bad):
 def test_matrix_arithmetic_returns_tuples_of_fraction_rows():
     ctx = RationalMatrixCtx(3)
     a = ctx.matrix([["1/2", 0, 3], [0, "-2/3", 1], [5, 0, 1]])
-    for m in (ctx.mul(a, a), ctx.inv(a), ctx.identity()):
+    for m in (ctx.mul(a, a), ctx.inv(a), ctx.identity(), ctx.product([a, ctx.inv(a), a])):
         assert type(m) is tuple and len(m) == 3
         assert all(type(row) is tuple and len(row) == 3 for row in m)
         assert all(type(v) is Fraction for row in m for v in row)
@@ -210,6 +241,7 @@ def test_matrix_literals_keep_their_bytes():
     assert ctx.to_literal(ctx.inv(a)) == '[["70/47", "42/47"], ["-4/47", "7/47"]]'
     product = ctx.mul(ctx.mul(a, one), ctx.inv(b))
     assert ctx.to_literal(product) == '[["-1/8", "-355/144"], ["-1/14", "1055/252"]]'
+    assert ctx.to_literal(ctx.product([a, one, ctx.inv(b)])) == ctx.to_literal(product)
 
 
 def test_holospec_eval_rejects_unknown_edges_and_unbased_loops():

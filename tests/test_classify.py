@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathgauge import gauge, reconstruct
 from pathgauge.complexes import BaseComplex, Edge, SpanningTree, build_tree
 from pathgauge.errors import InfiniteContext
 from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
-from pathgauge.instances import random_connected_complex, random_element
+from pathgauge.instances import random_connected_complex, random_element, theta_complex
 from pathgauge.reconstruct import (
     bc_object,
     bundle_from_holonomy,
@@ -132,6 +133,35 @@ def test_bundles_on_different_trees_are_compared_on_one_tree():
         assert find_conjugator(first, second) == 0
         F = conjugation_iso(first, second, 0)
         assert check_bundle_morphism(F, first.gauge, second.gauge)
+
+
+def test_conjugation_iso_measures_each_bundle_once(monkeypatch):
+    """Each bundle's tree transports serve both its chord holonomies and the
+    adjusters: two `tree_transports` calls per `conjugation_iso`, not four.
+    Matrix labels, marked fibers a1 and a2 over one field up to a gauge
+    transform, related by g = a1^-1 a2."""
+    ctx = RationalMatrixCtx(2)
+    cx = theta_complex()
+    field = GaugeField(
+        cx,
+        ctx,
+        {"a": ctx.matrix([[1, 2], [0, 1]]), "b": ctx.matrix([[2, 0], [1, 1]]), "c": ctx.matrix([["1/2", 1], [0, 3]])},
+    )
+    other = _gauge_transform(field, {"v0": ctx.identity(), "v1": ctx.matrix([[1, 0], [5, 1]])})
+    a1, a2 = ctx.matrix([[1, 1], [0, 1]]), ctx.matrix([[0, 1], [-1, 3]])
+    bc1, bc2 = bc_object(field, BundlePoint("v0", a1)), bc_object(other, BundlePoint("v0", a2))
+    calls = []
+    original = gauge.tree_transports
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gauge, "tree_transports", counting)
+    monkeypatch.setattr(reconstruct, "tree_transports", counting)
+    F = conjugation_iso(bc1, bc2, ctx.mul(ctx.inv(a1), a2))
+    assert len(calls) == 2
+    assert check_bundle_morphism(F, field, other)
 
 
 @pytest.mark.parametrize("seed", range(12))

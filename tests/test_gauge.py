@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pathgauge.complexes import enumerate_reduced_loops, enumerate_words
+from pathgauge.complexes import build_tree, chord_loops, enumerate_reduced_loops, enumerate_words
 from pathgauge.errors import BaseMismatch, IndexOutOfRange, NonEquivariantSpec, UnknownEdge
 from pathgauge.gauge import (
     BundleMap,
@@ -12,6 +12,7 @@ from pathgauge.gauge import (
     act_fibers,
     bundle_morphism_apply,
     check_bundle_morphism,
+    chord_holonomies,
     concat_epaths,
     epath_along_walk,
     holonomy_group,
@@ -22,10 +23,11 @@ from pathgauge.gauge import (
     project_horizontal,
     transport,
 )
-from pathgauge.groups import CyclicCtx, PermutationCtx
+from pathgauge.groups import CyclicCtx, PermutationCtx, RationalMatrixCtx
 from pathgauge.words import concat, empty_word, loop_id, reduce_word, reverse_word
 
 from .builders import backtracking_walks, monotone_walks
+from .oracles import gauss_jordan_inv, schoolbook_mul
 
 
 def fiber_alphabet(field):
@@ -61,6 +63,60 @@ class TestTransport:
     def test_unknown_edge(self, theta_field, wedge):
         with pytest.raises(UnknownEdge):
             transport(theta_field, wedge.word_from_literal("p"))
+
+
+def _matrix_field(theta):
+    ctx = RationalMatrixCtx(2)
+    rows = {"a": [[1, 2], [0, 1]], "b": [["1/2", 0], [3, 1]], "c": [[0, 1], [-1, 0]]}
+    return GaugeField(theta, ctx, {e: ctx.matrix(r) for e, r in rows.items()})
+
+
+class TestInverseTable:
+    """Every label is inverted once, at construction, and reverse steps read
+    the inverse from that table."""
+
+    @pytest.fixture(params=["theta_field", "wedge_field", "matrix"])
+    def field(self, request, theta):
+        if request.param == "matrix":
+            return _matrix_field(theta)
+        return request.getfixturevalue(request.param)
+
+    def test_table_holds_each_label_inverse(self, field):
+        ctx = field.ctx
+        assert field._inverses == {e: ctx.inv(g) for e, g in field.labels.items()}
+        assert field == GaugeField(field.complex, ctx, dict(field.labels))
+        assert "_inverses" not in repr(field)
+
+    def test_reverse_steps_take_no_inverse(self, field, monkeypatch):
+        ctx = field.ctx
+        words = [w for w in enumerate_words(field.complex, 3) if any(not s.forward for s in w.steps)]
+        expected = [transport(field, w) for w in words]
+        monkeypatch.setattr(type(ctx), "inv", lambda self, a: pytest.fail("inv called"))
+        assert [transport(field, w) for w in words] == expected
+        for w in words:
+            for step in w.steps:
+                want = field.labels[step.edge] if step.forward else field._inverses[step.edge]
+                assert field.step_transport(step) is want
+
+
+def test_matrix_products_match_fraction_arithmetic(theta):
+    """Transport, holonomy and chord holonomies of a matrix field against a
+    step-by-step `Fraction` fold with Gauss-Jordan inverses."""
+    field = _matrix_field(theta)
+    ctx = field.ctx
+    a = ctx.matrix([[2, 1], [1, 1]])
+    xi0 = BundlePoint("v0", a)
+    for w in enumerate_words(theta, 4):
+        acc = ctx.identity()
+        for step in w.steps:
+            g = field.labels[step.edge]
+            acc = schoolbook_mul(g if step.forward else gauss_jordan_inv(g), acc)
+        assert transport(field, w) == acc
+        if w.src == w.dst == "v0":
+            assert holonomy_rep(field, xi0, w) == schoolbook_mul(gauss_jordan_inv(a), schoolbook_mul(acc, a))
+    tree = build_tree(theta)
+    loops = chord_loops(theta, tree)
+    assert chord_holonomies(field, xi0, tree) == {c: holonomy_rep(field, xi0, loop) for c, loop in loops.items()}
 
 
 class TestHorizontalLift:

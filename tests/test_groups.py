@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from pathgauge.groups import (
 )
 from pathgauge.words import loop_inv, loop_mul, reduce_word
 
-from .oracles import bfs_subgroup_closure, gauss_jordan_inv, laplace_det, schoolbook_mul
+from .oracles import bfs_subgroup_closure, gauss_jordan_inv, laplace_det, mul_fold, schoolbook_mul
 
 
 def random_matrix(rng):
@@ -249,6 +250,91 @@ class TestIntegerKernels:
         assert _fraction_rows(ctx.identity(), 3)
         assert ctx == RationalMatrixCtx(3) and hash(ctx) == hash(RationalMatrixCtx(3))
         assert repr(ctx) == "RationalMatrixCtx(dim=3)"
+
+
+def _large_invertible(rng, n):
+    """An invertible n x n matrix with numerators near 10**12 over
+    denominators near 10**9."""
+    ctx = RationalMatrixCtx(n)
+    while True:
+        rows = tuple(
+            tuple(
+                Fraction(rng.choice((1, -1)) * rng.randrange(10**11, 10**12), rng.randrange(10**8, 10**9))
+                for _ in range(n)
+            )
+            for _ in range(n)
+        )
+        try:
+            return ctx.check(rows)
+        except DomainMismatch:
+            continue
+
+
+@st.composite
+def factor_lists(draw):
+    """A context and 0-6 factors: residues mod 1-12, permutations of degree
+    1-6, or rational matrices of dims 1-6 (random, singular or large)."""
+    kind = draw(st.sampled_from(["cyclic", "permutation", "rational_matrix"]))
+    n = draw(st.integers(1, 12 if kind == "cyclic" else 6))
+    if kind == "cyclic":
+        ctx, element = CyclicCtx(n), st.integers(0, n - 1)
+    elif kind == "permutation":
+        ctx, element = PermutationCtx(n), st.permutations(range(n)).map(tuple)
+    else:
+        ctx, element = RationalMatrixCtx(n), rational_matrices(n)
+    return ctx, draw(st.lists(element, max_size=6))
+
+
+class TestProduct:
+    """`GroupCtx.product` against the plain `mul` fold, in every context."""
+
+    @given(factor_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_mul_fold(self, case):
+        ctx, factors = case
+        given_factors = list(factors)
+        product = ctx.product(factors)
+        assert product == mul_fold(ctx, factors)
+        assert factors == given_factors
+        if ctx.kind == "rational_matrix":
+            assert _fraction_rows(product, ctx.dim)
+
+    @pytest.mark.parametrize("ctx", [CyclicCtx(5), PermutationCtx(4), RationalMatrixCtx(3)], ids=lambda c: c.kind)
+    def test_empty_and_single_factor(self, ctx):
+        a = ctx.generators()[-1] if ctx.is_finite else ctx.matrix([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+        assert ctx.product([]) == ctx.identity()
+        assert ctx.product([a]) == a
+        assert ctx.product(()) == ctx.identity()
+
+    def test_base_fold_multiplies_no_identity(self, monkeypatch):
+        ctx = PermutationCtx(4)
+        factors = [(1, 0, 2, 3), (1, 2, 3, 0), (0, 1, 3, 2)]
+        expected = mul_fold(ctx, factors)
+        seen = []
+        mul = PermutationCtx.mul
+
+        def recording(self, a, b):
+            seen.append((a, b))
+            return mul(self, a, b)
+
+        monkeypatch.setattr(PermutationCtx, "mul", recording)
+        assert ctx.product(factors) == expected
+        assert seen == [(factors[1], factors[2]), (factors[0], mul(ctx, factors[1], factors[2]))]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_alternating_chain_is_identity_in_bounded_time(self, n):
+        """200 factors M, M^-1, ... with entries near 10**12 / 10**9.  Each
+        step divides out the common gcd, so the integers stay near the size
+        of M's; without it they grow by M's size every step (dim 6: about
+        4 s of CPU against 0.2 s)."""
+        ctx = RationalMatrixCtx(n)
+        m = _large_invertible(random.Random(100 + n), n)
+        start = time.process_time()
+        product = ctx.product([m, ctx.inv(m)] * 100)
+        elapsed = time.process_time() - start
+        assert product == ctx.identity()
+        assert _fraction_rows(product, n)
+        assert elapsed < 1.5
 
 
 class TestClosure:

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from pathgauge.complexes import chord_loops, enumerate_reduced_loops
+from pathgauge.complexes import chord_loops, enumerate_reduced_loops, enumerate_words
 from pathgauge.errors import (
     BaseMismatch,
     ConjugacyViolated,
     HolonomyIncompatible,
     NonEquivariantSpec,
 )
-from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism, holonomy_rep
+from pathgauge.gauge import BundlePoint, GaugeField, check_bundle_morphism, holonomy_rep, transport
 from pathgauge.groups import CyclicCtx, HoloSpec, PermutationCtx, RationalMatrixCtx
 from pathgauge.instances import random_hol_object
 from pathgauge.pathspace import AssociatedPoint
@@ -36,6 +36,7 @@ from pathgauge.reconstruct import (
 from pathgauge.words import empty_word
 
 from .builders import conjugate_bc_pair, nonconjugate_bc_pair, random_bc_object, theta_bc, wedge_bc
+from .oracles import mul_fold
 
 
 class TestBundleFromHolonomy:
@@ -115,6 +116,22 @@ class TestReconstructIso:
         ap = AssociatedPoint(theta.word_from_literal("b"), 1)
         for gamma in enumerate_reduced_loops(theta, 4):
             assert iso.forward(twist(theta_spec, ap, gamma)) == iso.forward(ap)
+
+    def test_forward_with_a_marked_fiber(self, theta):
+        """F(w, g) = T(w) a g with the marked fiber a between transport and g,
+        which only a non-identity fiber in a non-abelian group tells apart."""
+        ctx = PermutationCtx(3)
+        field = GaugeField(theta, ctx, {"a": (1, 2, 0), "b": (1, 0, 2), "c": (0, 2, 1)})
+        a = (2, 0, 1)
+        bc = bc_object(field, BundlePoint("v0", a))
+        iso = reconstruct_iso(bc)
+        for w in enumerate_words(theta, 3, starts=("v0",)):
+            for g in ctx.elements():
+                expected = mul_fold(ctx, [transport(field, w), a, g])
+                assert iso.forward(AssociatedPoint(w, g)) == BundlePoint(w.dst, expected)
+        report = Report()
+        verify_reconstruction(bc, report, "iso", max_word_len=2)
+        assert report.ok, [c for c in report.checks if not c.ok]
 
     @pytest.mark.parametrize("maker", [theta_bc, wedge_bc])
     def test_full_verification_on_fixtures(self, maker):

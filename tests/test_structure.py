@@ -133,3 +133,41 @@ def test_lifts_are_one_outward_walk(module, name):
     assert called.count("walk_out") == 1
     own = [type(n).__name__ for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While, ast.If, ast.IfExp, ast.Raise))]
     assert own == []
+
+
+def _definition(module: str, qualname: str) -> ast.FunctionDef:
+    node: ast.AST = MODULES[module]
+    for name in qualname.split("."):
+        node = next(n for n in node.body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name)
+    return node
+
+
+def _is_mul(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "mul"
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize(
+    "module, qualname",
+    [
+        ("gauge", "transport"),
+        ("gauge", "holonomy_rep"),
+        ("gauge", "chord_holonomies"),
+        ("groups", "HoloSpec.eval"),
+        ("reconstruct", "ReconstructionIso.forward"),
+    ],
+)
+def test_chained_products_use_product(module, qualname):
+    """Chained products go through `GroupCtx.product`: no `mul` inside a
+    loop or a comprehension, and no `mul` nested in another `mul`."""
+    fn = _definition(module, qualname)
+    chained = [
+        inner.lineno
+        for outer in ast.walk(fn)
+        if isinstance(outer, LOOPS) or _is_mul(outer)
+        for inner in ast.walk(outer)
+        if inner is not outer and _is_mul(inner)
+    ]
+    assert chained == []
